@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,11 +93,14 @@ class Config:
 
 def _convert(section: str, key: str, raw: str, kind, where: str):
     try:
-        return kind(raw)
+        value = kind(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
     except ValueError as exc:
         raise ConfigError(
             f"{where}: value {raw!r} for [{section}] {key} is not a valid "
-            f"{kind.__name__}") from exc
+            f"finite {kind.__name__}") from exc
+    return value
 
 
 def parse_config(path: str | Path) -> Config:
@@ -161,10 +165,12 @@ def parse_config(path: str | Path) -> Config:
                 else:
                     cfg.eoc_gate = _convert(section, key, raw, float, where)
 
-    if cfg.base < 1 or cfg.level < 0:
-        raise ConfigError(f"{path}: mesh base/level out of range")
     if cfg.snapshot_stride < 0:
         raise ConfigError(f"{path}: snapshot_stride must be nonnegative")
+    try:  # the solver's own checks of mesh, time, model and Newton values
+        cfg.run_config()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 
 
@@ -278,12 +284,7 @@ def write_eoc_tables(outdir: Path, table: ErrorTable):
 
 
 def cmd_validate(cfg: Config) -> int:
-    try:
-        model = cfg.build_model()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = validate_model(model)
+    report = validate_model(cfg.build_model())
     print(report)
     print("model validation:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1

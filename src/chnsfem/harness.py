@@ -83,6 +83,10 @@ class RunConfig:
             raise ValueError("level must be nonnegative")
         if self.final_time <= 0:
             raise ValueError("final time must be positive")
+        if self.c_tau <= 0:
+            raise ValueError("time-step constant c_tau must be positive")
+        if self.tau0 is not None and self.tau0 <= 0:
+            raise ValueError("time step tau0 must be positive")
 
     @property
     def mesh_subdivisions(self) -> int:

@@ -136,6 +136,7 @@ class StepperConfig:
 @dataclass(frozen=True)
 class NewtonStats:
     iterations: int
+    factorizations: int
     residual_norm: float
     lam: float
     div_residual_max: float
@@ -231,7 +232,8 @@ def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: f
 
 
 class Stepper:
-    """Assembles and advances the coupled system on one fixed mesh."""
+    """Assembles and advances the coupled system on one fixed mesh, keeping
+    the LU factor of each step for the next step's chord iteration."""
 
     def __init__(self, mesh: PeriodicTriMesh, spaces: SpaceSet,
                  model: MaterialModel, cfg: StepperConfig):
@@ -275,6 +277,7 @@ class Stepper:
         load = np.zeros(n1)
         np.add.at(load, d1, np.einsum("eq,qa->ea", self.w, self.tab1.N))
         self.p1_load = load
+        self._factor = None
 
     # -- packing ---------------------------------------------------------
 
@@ -437,12 +440,14 @@ class Stepper:
             return self.residual_vector(old_fields, x, step_index)
 
         def J(x):
+            self._factor = None  # newton dropped it: free it before assembly
             return self.jacobian_matrix(old_fields, x, step_index)
 
         try:
             result = newton(F, J, x0, self.cfg.newton,
-                            retryable=(PositivityError,))
+                            retryable=(PositivityError,), factor=self._factor)
         except (NonconvergenceError, FactorizationError, PositivityError) as exc:
+            self._factor = None
             norm = getattr(exc, "residual_norm", None)
             raise StepFailure(
                 f"time step at t = {old.time:.6g} failed: {exc}",
@@ -450,10 +455,12 @@ class Stepper:
 
         new_state, lam = self.unpack(result.x, old.time + self.cfg.tau)
         if new_state.min_nodal_theta <= 0.0:
+            self._factor = None
             raise StepFailure(
                 f"nonpositive nodal inverse temperature "
                 f"{new_state.min_nodal_theta:.3e} after the step",
                 step_index=step_index, residual_norm=result.residual_norm)
+        self._factor = result.factor
         floor = self.model.split_theta_floor
         if floor is not None and new_state.min_nodal_theta <= floor + 1e-6:
             warnings.warn(
@@ -464,6 +471,7 @@ class Stepper:
         div_rows = result.residual[self.off["pi"]:self.off["pi"] + self.n1]
         stats = NewtonStats(
             iterations=result.iterations,
+            factorizations=result.factorizations,
             residual_norm=result.residual_norm,
             lam=lam,
             div_residual_max=float(np.abs(div_rows).max()))
@@ -513,27 +521,3 @@ def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
     pi = FeFunction(spaces.pressure, np.zeros(n1))
     return State(time=0.0, phi=phi, mu=mu, theta=theta, u=u, pi=pi)
 
-
-def assemble_residual(old: State, guess: State, cfg: StepperConfig,
-                      model: MaterialModel, lam: float = 0.0) -> np.ndarray:
-    """Residual of the coupled equations with ``guess`` at the new level."""
-    stepper = Stepper(old.phi.space.mesh, old.spaces(), model, cfg)
-    old_fields = stepper.fields_from_state(old)
-    x = stepper.pack(guess, lam)
-    return stepper.residual_vector(old_fields, x)
-
-
-def assemble_jacobian(old: State, guess: State, cfg: StepperConfig,
-                      model: MaterialModel, lam: float = 0.0) -> sp.csc_matrix:
-    """Exact derivative of the residual with respect to the new-level unknowns."""
-    stepper = Stepper(old.phi.space.mesh, old.spaces(), model, cfg)
-    old_fields = stepper.fields_from_state(old)
-    x = stepper.pack(guess, lam)
-    return stepper.jacobian_matrix(old_fields, x)
-
-
-def step(old: State, cfg: StepperConfig, model: MaterialModel,
-         step_index: int | None = None) -> tuple[State, NewtonStats]:
-    """Advance one time level (convenience wrapper around Stepper)."""
-    stepper = Stepper(old.phi.space.mesh, old.spaces(), model, cfg)
-    return stepper.step(old, step_index)

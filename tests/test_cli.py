@@ -62,6 +62,24 @@ def test_bad_value_rejected(tmp_path):
     assert main(["validate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("section, line", [
+    ("mesh", "base = 2"),
+    ("scheme", "newton_tol = -1"),
+    ("time", "T = 0"),
+    ("time", "tau = -1"),
+    ("time", "tau = 0"),
+    ("time", "tau = nan"),
+    ("time", "c_tau = 0"),
+    ("model", "name = other"),
+])
+def test_invalid_value_rejected(tmp_path, capsys, section, line):
+    path = write_config(tmp_path, f"[{section}]\n{line}\n")
+    assert main(["run", "--config", str(path),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_default_passes(tmp_path, capsys):
     path = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path / "out"))
     assert main(["validate", "--config", str(path)]) == 0

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from chnsfem.la import (
+    Factor,
     FactorizationError,
     NewtonSettings,
     NonconvergenceError,
@@ -123,6 +124,66 @@ def test_row_scaling_leaves_solution_unchanged():
     plain = newton(*make(np.ones(4)), np.zeros(4), settings)
     scaled = newton(*make(scale), np.zeros(4), settings)
     assert np.abs(plain.x - scaled.x).max() <= 1e-11
+
+
+def test_chord_with_nearby_factor_reaches_the_newton_root():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 5)) + 6 * np.eye(5)
+    b = rng.standard_normal(5)
+
+    def r(x):
+        return A @ x + 0.5 * np.tanh(x) - b
+
+    def J(x):
+        return sp.csc_matrix(A + np.diag(0.5 / np.cosh(x) ** 2))
+
+    settings = NewtonSettings(tol=1e-12, max_iter=30)
+    full = newton(r, J, np.zeros(5), settings)
+    # the linearization at a neighbouring point, as a previous step leaves it
+    stale = Factor(J(full.x + 0.05 * rng.standard_normal(5)))
+    chord = newton(r, J, np.zeros(5), settings, factor=stale)
+    assert chord.factorizations == 0 and chord.factor is stale
+    assert chord.residual_norm <= settings.tol
+    assert np.abs(chord.x - full.x).max() <= settings.tol
+
+
+def test_stale_factor_leaving_the_domain_falls_back_to_newton():
+    class OutOfDomain(RuntimeError):
+        pass
+
+    def r(x):
+        if x[0] <= 0:
+            raise OutOfDomain("negative argument")
+        return np.log(x)
+
+    def J(x):
+        return sp.csc_matrix([[1.0 / x[0]]])
+
+    # the chord step from 3.0 with the slope at 5.0 lands at 3 - 5 log 3 < 0
+    stale = Factor(J(np.array([5.0])))
+    res = newton(r, J, np.array([3.0]), NewtonSettings(tol=1e-12, max_iter=30),
+                 retryable=(OutOfDomain,), factor=stale)
+    assert abs(res.x[0] - 1.0) <= 1e-12
+    assert res.factorizations >= 1 and res.factor is not stale
+
+
+def test_stale_factor_increasing_the_residual_is_abandoned():
+    def r(x):
+        return np.arctan(x)
+
+    def J(x):
+        return sp.csc_matrix([[1.0 / (1.0 + x[0] ** 2)]])
+
+    settings = NewtonSettings(tol=1e-12, max_iter=30)
+    x0 = np.array([0.5])
+    # the slope at 10 is 100x too flat: the chord step overshoots to |x| > 40
+    stale = Factor(J(np.array([10.0])))
+    res = newton(r, J, x0, settings, factor=stale)
+    full = newton(r, J, x0, settings)
+    assert abs(res.x[0]) <= 1e-12
+    # the rejected trial costs no iteration: the rest is plain Newton
+    assert res.iterations == full.iterations
+    assert res.factorizations == full.factorizations == full.iterations
 
 
 def test_settings_validation():

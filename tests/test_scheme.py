@@ -13,11 +13,8 @@ from chnsfem.scheme import (
     StepFailure,
     Stepper,
     StepperConfig,
-    assemble_jacobian,
-    assemble_residual,
     build_spaces,
     initial_state,
-    step,
 )
 
 
@@ -121,29 +118,32 @@ def test_uniform_state_is_a_residual_root(model):
                           lambda x, y: np.full_like(x, 0.3),
                           lambda x, y: np.full_like(x, 1.2),
                           zero_velocity)
-    cfg = StepperConfig(tau=1e-3)
-    r = assemble_residual(state, state, cfg, model)
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    r = stepper.residual_vector(stepper.fields_from_state(state),
+                                stepper.pack(state))
     assert np.abs(r).max() <= 1e-12
 
 
 def test_quadrature_saturation(setup8, model):
     # raising the quadrature degree from 6 to 12 must barely move any entry
-    _, _, state = setup8
-    cfg6 = StepperConfig(tau=1e-3, quad_degree=6)
-    cfg12 = StepperConfig(tau=1e-3, quad_degree=12)
-    r6 = assemble_residual(state, state, cfg6, model)
-    r12 = assemble_residual(state, state, cfg12, model)
+    mesh, spaces, state = setup8
+    s6 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3, quad_degree=6))
+    s12 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3, quad_degree=12))
+    r6 = s6.residual_vector(s6.fields_from_state(state), s6.pack(state))
+    r12 = s12.residual_vector(s12.fields_from_state(state), s12.pack(state))
     assert np.abs(r6 - r12).max() <= 1e-10
 
 
 def test_positivity_violation_detected(setup4, model):
     mesh, spaces, state = setup4
     cfg = StepperConfig(tau=1e-3, theta_floor=1e-8)
+    stepper = Stepper(mesh, spaces, model, cfg)
     bad = dataclasses.replace(state)
     bad.theta = state.theta.copy()
     bad.theta.coefficients[3] = -0.5
     with pytest.raises(PositivityError):
-        assemble_residual(state, bad, cfg, model)
+        stepper.residual_vector(stepper.fields_from_state(state),
+                                stepper.pack(bad))
 
 
 # -- Jacobian -------------------------------------------------------------
@@ -171,8 +171,9 @@ def test_jacobian_matches_directional_differences(setup4, model, star_rule):
 
 def test_pressure_block_is_minus_twice_transposed_divergence_block(setup4, model):
     mesh, spaces, state = setup4
-    cfg = StepperConfig(tau=1e-3)
-    J = assemble_jacobian(state, state, cfg, model).tocsr()
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    J = stepper.jacobian_matrix(stepper.fields_from_state(state),
+                                stepper.pack(state)).tocsr()
     n1 = spaces.scalar.dof_count
     n2 = spaces.velocity.scalar_dof_count
     off_u = 3 * n1
@@ -184,9 +185,9 @@ def test_pressure_block_is_minus_twice_transposed_divergence_block(setup4, model
 
 def test_multiplier_column_is_p1_load_vector(setup4, model):
     mesh, spaces, state = setup4
-    cfg = StepperConfig(tau=1e-3)
-    stepper = Stepper(mesh, spaces, model, cfg)
-    J = assemble_jacobian(state, state, cfg, model).tocsc()
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    J = stepper.jacobian_matrix(stepper.fields_from_state(state),
+                                stepper.pack(state)).tocsc()
     n1 = spaces.scalar.dof_count
     off_pi = stepper.off["pi"]
     col = J[:, stepper.lam_index].toarray().ravel()
@@ -220,20 +221,36 @@ def test_uniform_state_is_a_fixed_point(model):
 
 
 def test_benchmark_step_newton_iterations(setup8, model):
-    _, spaces, state = setup8
-    cfg = StepperConfig(tau=1e-3)
-    new, stats = step(state, cfg, model, step_index=0)
+    mesh, spaces, state = setup8
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    new, stats = stepper.step(state, step_index=0)
     assert stats.iterations <= 6
     assert stats.residual_norm <= 1e-12
     assert new.time == pytest.approx(1e-3)
 
 
+def test_reused_factor_gives_the_fresh_factor_solution(setup8, model):
+    mesh, spaces, state = setup8
+    cfg = StepperConfig(tau=1.25e-4)
+    persistent = Stepper(mesh, spaces, model, cfg)
+    reused, fresh = state, state
+    factorizations = 0
+    for k in range(1, 9):
+        reused, stats = persistent.step(reused, step_index=k)
+        factorizations += stats.factorizations
+        fresh, _ = Stepper(mesh, spaces, model, cfg).step(fresh, step_index=k)
+        for name in ("phi", "mu", "theta", "u", "pi"):
+            diff = np.abs(getattr(reused, name).coefficients
+                          - getattr(fresh, name).coefficients).max()
+            assert diff <= 1e-10, (k, name)
+    assert factorizations < 8
+
+
 def test_one_step_conserves_total_energy(setup8, model):
     from chnsfem.diagnostics import state_functionals
 
-    _, _, state = setup8
-    cfg = StepperConfig(tau=1e-3)
-    new, _ = step(state, cfg, model)
+    mesh, spaces, state = setup8
+    new, _ = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3)).step(state)
     _, k0, e0, _ = state_functionals(state, model)
     _, k1, e1, _ = state_functionals(new, model)
     assert abs((k1 + e1) - (k0 + e0)) <= 1e-10
@@ -258,9 +275,9 @@ def test_step_satisfies_constraints(setup8, model):
 def test_new_level_star_rule_also_preserves_structure(setup4, model):
     from chnsfem.diagnostics import state_functionals
 
-    _, _, state = setup4
+    mesh, spaces, state = setup4
     cfg = StepperConfig(tau=1e-3, star_rule="new")
-    new, stats = step(state, cfg, model)
+    new, stats = Stepper(mesh, spaces, model, cfg).step(state)
     assert stats.residual_norm <= 1e-12
     _, k0, e0, s0 = state_functionals(state, model)
     _, k1, e1, s1 = state_functionals(new, model)
@@ -269,10 +286,10 @@ def test_new_level_star_rule_also_preserves_structure(setup4, model):
 
 
 def test_nonconvergence_is_wrapped_with_step_context(setup8, model):
-    _, _, state = setup8
+    mesh, spaces, state = setup8
     cfg = StepperConfig(tau=1e-3, newton=NewtonSettings(tol=1e-12, max_iter=1))
     with pytest.raises(StepFailure) as info:
-        step(state, cfg, model, step_index=7)
+        Stepper(mesh, spaces, model, cfg).step(state, step_index=7)
     assert info.value.step_index == 7
     assert info.value.residual_norm is not None
 
