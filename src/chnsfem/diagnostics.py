@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import scalar_qp, tabulate, vector_qp
-from .mesh import quad_rule
+from .fespace import evaluator
 from .physics import MaterialModel
 from .scheme import STAR_OLD, State, StepperConfig
 
@@ -54,26 +53,23 @@ class DiagnosticsRecord:
         return self.kinetic + self.internal
 
 
-def _tabs(state: State, degree: int):
+def _evaluators(state: State, degree: int):
     spaces = state.spaces()
-    rule = quad_rule(degree)
-    return tabulate(spaces.scalar, rule), tabulate(spaces.velocity, rule)
+    return evaluator(spaces.scalar, degree), evaluator(spaces.velocity, degree)
 
 
 def state_functionals(state: State, model: MaterialModel,
                       quad_degree: int = 6) -> tuple[float, float, float, float]:
     """(mass, kinetic energy, internal energy, entropy) of one level."""
-    tab1, tab2 = _tabs(state, quad_degree)
-    w = tab1.weights
-    spaces = state.spaces()
-    pv, pg = scalar_qp(tab1, spaces.scalar, state.phi.coefficients)
-    tv, _ = scalar_qp(tab1, spaces.scalar, state.theta.coefficients)
-    uv, _ = vector_qp(tab2, spaces.velocity, state.u.coefficients)
-    mass = float(np.sum(w * pv))
-    kinetic = float(np.sum(w * 0.5 * np.sum(uv**2, axis=-1)))
-    internal = float(np.sum(w * model.e(pv, tv)))
-    g2 = np.sum(pg**2, axis=-1)
-    entropy = float(np.sum(w * model.s(pv, tv, g2)))
+    ev1, ev2 = _evaluators(state, quad_degree)
+    w = ev1.weights
+    p, t = ev1.fields(np.stack([state.phi.coefficients,
+                                state.theta.coefficients]))
+    u = ev2.fields(state.u.coefficients)
+    mass = float(np.sum(w * p[0]))
+    kinetic = float(np.sum(w * 0.5 * (u[0, 0]**2 + u[1, 0]**2)))
+    internal = float(np.sum(w * model.e(p[0], t[0])))
+    entropy = float(np.sum(w * model.s(p[0], t[0], p[1]**2 + p[2]**2)))
     return mass, kinetic, internal, entropy
 
 
@@ -85,26 +81,35 @@ def physical_dissipation(new: State, old: State, model: MaterialModel,
     Nonnegative whenever the mobility matrix is SPD and temperatures stay
     positive.
     """
-    tab1, tab2 = _tabs(new, cfg.quad_degree)
-    w = tab1.weights
-    spaces = new.spaces()
+    ev1, ev2 = _evaluators(new, cfg.quad_degree)
+    w = ev1.weights
     star = old if cfg.star_rule == STAR_OLD else new
-    ps, _ = scalar_qp(tab1, spaces.scalar, star.phi.coefficients)
-    ts, _ = scalar_qp(tab1, spaces.scalar, star.theta.coefficients)
-    tn, gt = scalar_qp(tab1, spaces.scalar, new.theta.coefficients)
-    _, gm = scalar_qp(tab1, spaces.scalar, new.mu.coefficients)
-    _, gu_new = vector_qp(tab2, spaces.velocity, new.u.coefficients)
-    _, gu_old = vector_qp(tab2, spaces.velocity, old.u.coefficients)
-
+    ps, ts, tn, mn = ev1.fields(np.stack([
+        star.phi.coefficients, star.theta.coefficients,
+        new.theta.coefficients, new.mu.coefficients]))
+    # midpoint velocity gradient, gum[c, l] = d_l u_c
+    gu_new, gu_old = ev2.fields(np.stack([new.u.coefficients,
+                                          old.u.coefficients]))[:, :, 1:]
     gum = 0.5 * (gu_new + gu_old)
-    sym = 0.5 * (gum + np.swapaxes(gum, -1, -2))
-    dsq = np.sum(sym**2, axis=(-1, -2))
-    viscous = np.sum(w * model.eta(ps, ts) * dsq * tn)
+    sym = 0.5 * (gum + np.swapaxes(gum, 0, 1))
+    dsq = np.sum(sym**2, axis=(0, 1))
+    viscous = np.sum(w * model.eta(ps[0], ts[0]) * dsq * tn[0])
 
-    quad = np.einsum("eq,eqs,st,eqt->", w, gm, model.L11, gm)
-    quad -= 2.0 * np.einsum("eq,eqs,st,eqt->", w, gm, model.L12, gt)
-    quad += np.einsum("eq,eqs,st,eqt->", w, gt, model.L22, gt)
+    gm, gt = mn[1:], tn[1:]
+    quad = np.einsum("eq,seq,st,teq->", w, gm, model.L11, gm)
+    quad -= 2.0 * np.einsum("eq,seq,st,teq->", w, gm, model.L12, gt)
+    quad += np.einsum("eq,seq,st,teq->", w, gt, model.L22, gt)
     return float(viscous + quad)
+
+
+def _checked_d_num(s_new: float, s_old: float, tau_diss: float,
+                   step_index: int | None) -> float:
+    value = (s_new - s_old) - tau_diss
+    if value < D_NUM_FLOOR:
+        raise StructureViolationError(
+            f"numerical dissipation {value:.3e} fell below {D_NUM_FLOOR:.0e}",
+            value=value, step_index=step_index)
+    return value
 
 
 def numerical_dissipation(new: State, old: State, model: MaterialModel,
@@ -113,33 +118,24 @@ def numerical_dissipation(new: State, old: State, model: MaterialModel,
     """Extra entropy produced by the time discretization itself."""
     _, _, _, s_new = state_functionals(new, model, cfg.quad_degree)
     _, _, _, s_old = state_functionals(old, model, cfg.quad_degree)
-    value = (s_new - s_old) - cfg.tau * physical_dissipation(new, old, model, cfg)
-    if value < D_NUM_FLOOR:
-        raise StructureViolationError(
-            f"numerical dissipation {value:.3e} fell below {D_NUM_FLOOR:.0e}",
-            value=value, step_index=step_index)
-    return value
-
-
-def phase_increment_gradient_term(new: State, old: State,
-                                  model: MaterialModel,
-                                  cfg: StepperConfig) -> float:
-    """gamma/2 * ||grad(phi_new - phi_old)||^2, the explicitly computable
-    first summand of the numerical dissipation (a lower bound for it when
-    the split is valid)."""
-    tab1, _ = _tabs(new, cfg.quad_degree)
-    spaces = new.spaces()
-    dphi = new.phi.coefficients - old.phi.coefficients
-    _, g = scalar_qp(tab1, spaces.scalar, dphi)
-    return float(0.5 * model.gamma * np.sum(tab1.weights * np.sum(g**2, axis=-1)))
+    return _checked_d_num(s_new, s_old,
+                          cfg.tau * physical_dissipation(new, old, model, cfg),
+                          step_index)
 
 
 def record(new: State, old: State, model: MaterialModel, cfg: StepperConfig,
-           step_index: int = 0, newton_iters: int = 0) -> DiagnosticsRecord:
-    """Diagnostics row for the step old -> new."""
+           step_index: int = 0, newton_iters: int = 0,
+           old_entropy: float | None = None) -> DiagnosticsRecord:
+    """Diagnostics row for the step old -> new.
+
+    ``old_entropy``, the entropy of the previous row, saves evaluating it
+    again; it is the same number the previous row computed.
+    """
     mass, kinetic, internal, entropy = state_functionals(new, model, cfg.quad_degree)
+    if old_entropy is None:
+        _, _, _, old_entropy = state_functionals(old, model, cfg.quad_degree)
     tau_diss = cfg.tau * physical_dissipation(new, old, model, cfg)
-    d_num = numerical_dissipation(new, old, model, cfg, step_index)
+    d_num = _checked_d_num(entropy, old_entropy, tau_diss, step_index)
     return DiagnosticsRecord(
         step=step_index, time=new.time, mass=mass, kinetic=kinetic,
         internal=internal, entropy=entropy, tau_dissipation=tau_diss,

@@ -1,9 +1,10 @@
 """Periodic P1 and P2 spaces on criss-cross torus meshes.
 
 Provides degree-of-freedom maps that respect the periodic identification,
-basis tabulation at quadrature points, nodal interpolation, point
-evaluation, exact nested prolongation, quadrature-based norms, and the
-skew-symmetric convection form.
+basis tabulation at quadrature points, the per-space evaluator that
+evaluates and assembles through one sparse operator, nodal interpolation,
+point evaluation, exact nested prolongation, quadrature-based norms, and
+the skew-symmetric convection form.
 
 DOF ordering is deterministic: vertices first (the mesh's lexicographic
 vertex order), then edge midpoints sorted lexicographically by their
@@ -14,9 +15,10 @@ DOF ``k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import PeriodicTriMesh, QuadRule, quad_rule
 
@@ -36,12 +38,15 @@ class FunctionSpace:
     mesh: PeriodicTriMesh
     family: str
     dof_count: int
-    #: per-triangle scalar DOF indices, shape (num_triangles, 3 or 6)
+    #: per-triangle scalar DOF indices, shape (num_triangles, 3 or 6); int32,
+    #: like the column indices of the evaluator's operator
     element_dof_table: np.ndarray
     #: coordinates of the scalar interpolation nodes, shape (scalar_dofs, 2)
     node_coords: np.ndarray
     num_components: int
     scalar_dof_count: int
+    #: quadrature degree -> Evaluator, filled by :func:`evaluator`
+    evaluators: dict = field(default_factory=dict, repr=False)
 
     @property
     def is_vector(self) -> bool:
@@ -143,13 +148,13 @@ def build_space(mesh: PeriodicTriMesh, family: str) -> FunctionSpace:
     nv = mesh.num_vertices
     if family in (P1, P1_MEANFREE):
         return FunctionSpace(mesh=mesh, family=family, dof_count=nv,
-                             element_dof_table=mesh.triangles.copy(),
+                             element_dof_table=mesh.triangles.astype(np.int32),
                              node_coords=mesh.vertices.copy(),
                              num_components=1, scalar_dof_count=nv)
 
     edge_ids, edge_coords = _build_edge_table(mesh)
     ne = mesh.num_triangles
-    table = np.empty((ne, 6), dtype=np.int64)
+    table = np.empty((ne, 6), dtype=np.int32)
     table[:, :3] = mesh.triangles
     for t, corners in enumerate(mesh.tri_coords):
         for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
@@ -189,6 +194,75 @@ def tabulate(space: FunctionSpace, rule: QuadRule) -> Tabulation:
     grads = np.einsum("est,qbt->eqbs", jinv_t, ref_grads)
     weights = rule.weights[None, :] * det[:, None]
     return Tabulation(rule=rule, N=N, grads=grads, weights=weights)
+
+
+class Evaluator:
+    """The tabulation of one space under one rule and its sparse operator.
+
+    ``E`` (CSR, ``3*ne*nq`` by ``scalar_dof_count``) maps scalar DOF
+    coefficients to the value, the x-derivative and the y-derivative at
+    every quadrature point; row ``(k*ne + e)*nq + q`` holds part ``k`` at
+    point ``q`` of triangle ``e``.  ``E @ c`` evaluates a field and ``E.T``
+    assembles against the test functions, so assembly, diagnostics and
+    error norms all use literally the same rule.  ``tab.grads`` is a view
+    of the operator's entries.
+    """
+
+    def __init__(self, space: FunctionSpace, rule: QuadRule):
+        tab = tabulate(space, rule)
+        ne, nq, nb, _ = tab.grads.shape
+        data = np.empty((3, ne, nq, nb))
+        data[0] = tab.N
+        data[1:] = np.moveaxis(tab.grads, -1, 0)
+        self.tab = replace(tab, grads=np.moveaxis(data[1:], 0, -1))
+        self.weights = tab.weights
+        self.shape = (3, ne, nq)
+        self.num_components = space.num_components
+        dofs = space.element_dof_table
+        indices = np.broadcast_to(dofs[None, :, None, :], data.shape)
+        indptr = np.arange(0, data.size + 1, nb, dtype=np.int32)
+        self.E = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                               shape=(3 * ne * nq, space.scalar_dof_count))
+
+    def fields(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values and derivatives at the points, shape ``lead + (3, ne, nq)``
+        for coefficients of shape ``lead + (dof_count,)``; a vector space
+        adds a component axis before the ``3``."""
+        coeffs = np.asarray(coeffs)
+        lead = coeffs.shape[:-1] + ((2,) if self.num_components == 2 else ())
+        # one product per scalar function, written in place: faster than
+        # scipy's multi-vector product, and every field comes out contiguous
+        rows = coeffs.reshape(-1, self.E.shape[1])
+        out = np.empty((len(rows), self.E.shape[0]))
+        for o, r in zip(out, rows):
+            o[:] = self.E @ r
+        return out.reshape(lead + self.shape)
+
+    def integrate(self, densities: np.ndarray) -> np.ndarray:
+        """The transpose of :meth:`fields`: entry i is the weighted sum of
+        ``densities[0]*N_i + densities[1]*dN_i/dx + densities[2]*dN_i/dy``
+        over all points, for every leading index."""
+        d = np.asarray(densities) * self.weights
+        lead = d.shape[:-3 - (self.num_components == 2)]
+        Et = self.E.T
+        rows = d.reshape(-1, self.E.shape[0])
+        return np.stack([Et @ r for r in rows]).reshape(lead + (-1,))
+
+    def squared_norms(self, coeffs: np.ndarray) -> tuple[float, float]:
+        """(squared L2 norm, squared H1 seminorm) of one function."""
+        sq = self.fields(coeffs) ** 2
+        return (float(np.sum(self.weights * sq[..., 0, :, :])),
+                float(np.sum(self.weights * sq[..., 1:, :, :])))
+
+
+def evaluator(space: FunctionSpace,
+              degree: int = DEFAULT_QUAD_DEGREE) -> Evaluator:
+    """The space's evaluator for the degree-``degree`` rule, built on first
+    use and shared by every later caller."""
+    ev = space.evaluators.get(degree)
+    if ev is None:
+        ev = space.evaluators[degree] = Evaluator(space, quad_rule(degree))
+    return ev
 
 
 def interpolate(space: FunctionSpace, f) -> FeFunction:
@@ -280,46 +354,17 @@ def prolong(f: FeFunction, fine_space: FunctionSpace) -> FeFunction:
     return FeFunction(fine_space, coeffs)
 
 
-def scalar_qp(tab: Tabulation, space: FunctionSpace, coeffs: np.ndarray):
-    """Values and gradients of a scalar coefficient vector at the points."""
-    local = coeffs[space.element_dof_table]
-    vals = np.einsum("qb,eb->eq", tab.N, local)
-    grads = np.einsum("eqbs,eb->eqs", tab.grads, local)
-    return vals, grads
-
-
-def vector_qp(tab: Tabulation, space: FunctionSpace, coeffs: np.ndarray):
-    """Component values (ne,nq,2) and gradients (ne,nq,2,2), grads[...,c,l] = d_l u_c."""
-    ns = space.scalar_dof_count
-    vals = np.empty(tab.weights.shape + (2,))
-    grads = np.empty(tab.weights.shape + (2, 2))
-    for c in range(2):
-        v, g = scalar_qp(tab, space, coeffs[c * ns:(c + 1) * ns])
-        vals[..., c] = v
-        grads[..., c, :] = g
-    return vals, grads
-
-
 def mean_value(f: FeFunction, degree: int = DEFAULT_QUAD_DEGREE) -> float:
     """Integral of f over the domain (the domain has unit measure)."""
-    tab = tabulate(f.space, quad_rule(degree))
     if f.space.is_vector:
         raise ValueError("mean_value expects a scalar function")
-    vals, _ = scalar_qp(tab, f.space, f.coefficients)
-    return float(np.sum(tab.weights * vals))
+    ev = evaluator(f.space, degree)
+    return float(np.sum(ev.weights * ev.fields(f.coefficients)[0]))
 
 
 def norms(f: FeFunction, degree: int = DEFAULT_QUAD_DEGREE) -> tuple[float, float]:
     """(L2 norm, H1 seminorm) by quadrature."""
-    tab = tabulate(f.space, quad_rule(degree))
-    if f.space.is_vector:
-        vals, grads = vector_qp(tab, f.space, f.coefficients)
-        l2sq = np.sum(tab.weights * np.sum(vals**2, axis=-1))
-        h1sq = np.sum(tab.weights * np.sum(grads**2, axis=(-1, -2)))
-    else:
-        vals, grads = scalar_qp(tab, f.space, f.coefficients)
-        l2sq = np.sum(tab.weights * vals**2)
-        h1sq = np.sum(tab.weights * np.sum(grads**2, axis=-1))
+    l2sq, h1sq = evaluator(f.space, degree).squared_norms(f.coefficients)
     return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))
 
 
@@ -335,12 +380,10 @@ def c_skw(u: FeFunction, v: FeFunction, w: FeFunction,
             raise ValueError("c_skw requires all arguments from the same space")
     if not u.space.is_vector:
         raise ValueError("c_skw is defined for vector functions")
-    tab = tabulate(u.space, quad_rule(degree))
-    uv, _ = vector_qp(tab, u.space, u.coefficients)
-    vv, vg = vector_qp(tab, u.space, v.coefficients)
-    wv, wg = vector_qp(tab, u.space, w.coefficients)
-    adv_v = np.einsum("eql,eqcl->eqc", uv, vg)
-    adv_w = np.einsum("eql,eqcl->eqc", uv, wg)
-    first = np.sum(tab.weights * np.sum(adv_v * wv, axis=-1))
-    second = np.sum(tab.weights * np.sum(adv_w * vv, axis=-1))
+    ev = evaluator(u.space, degree)
+    uf, vf, wf = (ev.fields(g.coefficients) for g in (u, v, w))
+    adv_v = np.einsum("leq,cleq->ceq", uf[:, 0], vf[:, 1:])
+    adv_w = np.einsum("leq,cleq->ceq", uf[:, 0], wf[:, 1:])
+    first = np.sum(ev.weights * np.sum(adv_v * wf[:, 0], axis=0))
+    second = np.sum(ev.weights * np.sum(adv_w * vf[:, 0], axis=0))
     return float(0.5 * (first - second))

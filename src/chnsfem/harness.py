@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, initial_record, record
-from .fespace import FeFunction, prolong, scalar_qp, tabulate, vector_qp
+from .fespace import FeFunction, evaluator, prolong
 from .la import NewtonSettings
-from .mesh import PeriodicTriMesh, build_uniform, quad_rule
+from .mesh import PeriodicTriMesh, build_uniform
 from .physics import MaterialModel, default_model
 from .scheme import (
     NewtonStats,
@@ -141,7 +141,8 @@ def run(cfg: RunConfig) -> RunResult:
     for k in range(1, n_steps + 1):
         new, st = stepper.step(states[-1], step_index=k)
         records.append(record(new, states[-1], cfg.model, scfg,
-                              step_index=k, newton_iters=st.iterations))
+                              step_index=k, newton_iters=st.iterations,
+                              old_entropy=records[-1].entropy))
         states.append(new)
         stats.append(st)
     return RunResult(config=cfg, mesh=mesh, spaces=spaces, states=states,
@@ -172,29 +173,6 @@ class ErrorRow:
                 + self.l2_h1_mu + self.l2_h1_theta + self.l2_h1_u)
 
 
-class _DiffNorms:
-    """Cached tabulations for norms of coefficient differences on one mesh."""
-
-    def __init__(self, spaces: SpaceSet, degree: int):
-        rule = quad_rule(degree)
-        self.spaces = spaces
-        self.tab1 = tabulate(spaces.scalar, rule)
-        self.tab2 = tabulate(spaces.velocity, rule)
-        self.w = self.tab1.weights
-
-    def scalar_sq(self, coeffs: np.ndarray) -> tuple[float, float]:
-        vals, grads = scalar_qp(self.tab1, self.spaces.scalar, coeffs)
-        l2 = float(np.sum(self.w * vals**2))
-        h1 = float(np.sum(self.w * np.sum(grads**2, axis=-1)))
-        return l2, h1
-
-    def vector_sq(self, coeffs: np.ndarray) -> tuple[float, float]:
-        vals, grads = vector_qp(self.tab2, self.spaces.velocity, coeffs)
-        l2 = float(np.sum(self.w * np.sum(vals**2, axis=-1)))
-        h1 = float(np.sum(self.w * np.sum(grads**2, axis=(-1, -2))))
-        return l2, h1
-
-
 def _diff(coarse_fn: FeFunction, fine_fn: FeFunction, fine_space) -> np.ndarray:
     return prolong(coarse_fn, fine_space).coefficients - fine_fn.coefficients
 
@@ -206,7 +184,10 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
     if len(fine.states) != 2 * (len(coarse.states) - 1) + 1:
         raise ValueError("fine run must refine the coarse run once in time")
     tau_c = coarse.tau
-    norms = _DiffNorms(fine.spaces, coarse.config.quad_degree)
+    # the fine run's evaluators: the norms use the rule of its assembly
+    degree = coarse.config.quad_degree
+    ev1 = evaluator(fine.spaces.scalar, degree)
+    ev2 = evaluator(fine.spaces.velocity, degree)
     n_intervals = len(coarse.states) - 1
 
     linf_h1_phi = 0.0
@@ -218,11 +199,11 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
         fs = fine.states[2 * n]
         if abs(cs.time - fs.time) > 1e-12:
             raise ValueError("time grids do not align")
-        l2, h1 = norms.scalar_sq(_diff(cs.phi, fs.phi, fine.spaces.scalar))
+        l2, h1 = ev1.squared_norms(_diff(cs.phi, fs.phi, fine.spaces.scalar))
         linf_h1_phi = max(linf_h1_phi, l2 + h1)
-        l2t, h1t = norms.scalar_sq(_diff(cs.theta, fs.theta, fine.spaces.scalar))
+        l2t, h1t = ev1.squared_norms(_diff(cs.theta, fs.theta, fine.spaces.scalar))
         linf_l2_theta = max(linf_l2_theta, l2t)
-        l2u, h1u = norms.vector_sq(_diff(cs.u, fs.u, fine.spaces.velocity))
+        l2u, h1u = ev2.squared_norms(_diff(cs.u, fs.u, fine.spaces.velocity))
         linf_l2_u = max(linf_l2_u, l2u)
         if n < n_intervals:  # left-endpoint rule in time
             l2_h1_theta += tau_c * (l2t + h1t)
@@ -234,7 +215,7 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
         cmu = prolong(coarse.states[n + 1].mu, fine.spaces.scalar).coefficients
         for half in (1, 2):
             d = cmu - fine.states[2 * n + half].mu.coefficients
-            l2, h1 = norms.scalar_sq(d)
+            l2, h1 = ev1.squared_norms(d)
             l2_h1_mu += tau_c * 0.5 * (l2 + h1)
 
     return ErrorRow(level=coarse.config.level,

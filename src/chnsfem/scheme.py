@@ -32,9 +32,8 @@ from .fespace import (
     FeFunction,
     FunctionSpace,
     build_space,
+    evaluator,
     interpolate,
-    scalar_qp,
-    tabulate,
 )
 from .la import (
     FactorizationError,
@@ -43,7 +42,7 @@ from .la import (
     lu_solve,
     newton,
 )
-from .mesh import PeriodicTriMesh, quad_rule
+from .mesh import PeriodicTriMesh
 from .physics import MaterialModel, SplitValidityWarning
 
 STAR_OLD = "old"
@@ -241,10 +240,11 @@ class Stepper:
         self.spaces = spaces
         self.model = model
         self.cfg = cfg
-        rule = quad_rule(cfg.quad_degree)
-        self.tab1 = tabulate(spaces.scalar, rule)
-        self.tab2 = tabulate(spaces.velocity, rule)
-        self.w = self.tab1.weights
+        self.ev1 = evaluator(spaces.scalar, cfg.quad_degree)
+        self.ev2 = evaluator(spaces.velocity, cfg.quad_degree)
+        self.tab1 = self.ev1.tab
+        self.tab2 = self.ev2.tab
+        self.w = self.ev1.weights
         self.n1 = spaces.scalar.dof_count
         self.n2 = spaces.velocity.scalar_dof_count
 
@@ -253,6 +253,9 @@ class Stepper:
                     "u2": 3 * n1 + n2, "pi": 3 * n1 + 2 * n2}
         self.lam_index = 4 * n1 + 2 * n2
         self.size = self.lam_index + 1
+        # rows of x holding the scalar-space fields phi, mu, theta, pi
+        self._scalar_rows = np.r_[0:3 * n1,
+                                  self.off["pi"]:self.lam_index].reshape(4, n1)
 
         d1 = spaces.scalar.element_dof_table
         d2 = spaces.velocity.element_dof_table
@@ -274,9 +277,9 @@ class Stepper:
         }
         # integrals of the scalar test functions, used by the multiplier
         # column and the pressure-mean row
-        load = np.zeros(n1)
-        np.add.at(load, d1, np.einsum("eq,qa->ea", self.w, self.tab1.N))
-        self.p1_load = load
+        unit = np.zeros(self.ev1.shape)
+        unit[0] = 1.0
+        self.p1_load = self.ev1.integrate(unit)
         self._factor = None
 
     # -- packing ---------------------------------------------------------
@@ -306,30 +309,13 @@ class Stepper:
 
     # -- field evaluation -------------------------------------------------
 
-    def _scalar_fields(self, coeffs: np.ndarray, prefix: str, out: dict):
-        vals, grads = scalar_qp(self.tab1, self.spaces.scalar, coeffs)
-        out[prefix] = vals
-        out[prefix + "x"] = grads[..., 0]
-        out[prefix + "y"] = grads[..., 1]
-
-    def _velocity_fields(self, coeffs: np.ndarray, out: dict):
-        n2 = self.n2
-        for c, name in enumerate(("u1", "u2")):
-            vals, grads = scalar_qp(self.tab2, self.spaces.velocity,
-                                    coeffs[c * n2:(c + 1) * n2])
-            out[name] = vals
-            out[name + "x"] = grads[..., 0]
-            out[name + "y"] = grads[..., 1]
-
     def fields_from_vector(self, x: np.ndarray) -> dict:
-        off, n1, n2 = self.off, self.n1, self.n2
-        out: dict = {}
-        self._scalar_fields(x[off["phi"]:off["phi"] + n1], "p", out)
-        self._scalar_fields(x[off["mu"]:off["mu"] + n1], "m", out)
-        self._scalar_fields(x[off["theta"]:off["theta"] + n1], "t", out)
-        self._velocity_fields(x[off["u1"]:off["u1"] + 2 * n2], out)
-        pv, _ = scalar_qp(self.tab1, self.spaces.scalar, x[off["pi"]:off["pi"] + n1])
-        out["pi"] = pv
+        off, n2 = self.off, self.n2
+        scalar = self.ev1.fields(x[self._scalar_rows])
+        velocity = self.ev2.fields(x[off["u1"]:off["u1"] + 2 * n2])
+        out: dict = {"pi": scalar[3, 0]}
+        for name, f in zip(("p", "m", "t", "u1", "u2"), (*scalar[:3], *velocity)):
+            out[name], out[name + "x"], out[name + "y"] = f
         return out
 
     def fields_from_state(self, state: State) -> dict:
@@ -355,17 +341,14 @@ class Stepper:
         lam = float(x[self.lam_index])
         kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
 
-        r = np.zeros(self.size)
-        w = self.w
-        for eq, (tab, dofs, row_off) in self._test_map.items():
-            s, vx, vy = kern[eq]
-            block = np.einsum("eq,qa->ea", w * s, tab.N)
-            if vx is not None:
-                block += np.einsum("eq,eqa->ea", w * vx, tab.grads[..., 0])
-                block += np.einsum("eq,eqa->ea", w * vy, tab.grads[..., 1])
-            np.add.at(r, row_off + dofs, block)
-        r[self.lam_index] = self.p1_load @ x[self.off["pi"]:self.off["pi"] + self.n1]
-        return r
+        # densities (value, x, y parts) against the scalar and vector bases
+        scalar = np.zeros((4,) + self.ev1.shape)
+        scalar[:3] = [kern["phase"], kern["pot"], kern["energy"]]
+        scalar[3, 0] = kern["div"][0]
+        r1 = self.ev1.integrate(scalar)
+        r2 = self.ev2.integrate(np.array([kern["mom1"], kern["mom2"]]))
+        pi = x[self.off["pi"]:self.lam_index]
+        return np.concatenate([r1[:3].ravel(), r2, r1[3], [self.p1_load @ pi]])
 
     # -- Jacobian ----------------------------------------------------------
 
@@ -497,25 +480,21 @@ def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
             f"(min {theta.coefficients.min():.3e})")
     u = interpolate(spaces.velocity, u0)
 
-    tab = tabulate(spaces.scalar, quad_rule(quad_degree))
-    w = tab.weights
+    ev = evaluator(spaces.scalar, quad_degree)
+    w, N = ev.weights, ev.tab.N
     dofs = spaces.scalar.element_dof_table
     n1 = spaces.scalar.dof_count
 
-    local_mass = np.einsum("eq,qa,qb->eab", w, tab.N, tab.N)
+    local_mass = np.einsum("eq,qa,qb->eab", w, N, N)
     ne, na, _ = local_mass.shape
     rows = np.broadcast_to(dofs[:, :, None], (ne, na, na))
     cols = np.broadcast_to(dofs[:, None, :], (ne, na, na))
     mass = sp.coo_matrix((local_mass.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(n1, n1)).tocsc()
 
-    pv, pg = scalar_qp(tab, spaces.scalar, phi.coefficients)
-    tv, _ = scalar_qp(tab, spaces.scalar, theta.coefficients)
-    force = model.dphi_psi(pv, tv)
-    local_b = np.einsum("eq,qa->ea", w * force, tab.N)
-    local_b += model.gamma * np.einsum("eq,eqs,eqas->ea", w, pg, tab.grads)
-    b = np.zeros(n1)
-    np.add.at(b, dofs, local_b)
+    p, t = ev.fields(np.stack([phi.coefficients, theta.coefficients]))
+    b = ev.integrate(np.stack([model.dphi_psi(p[0], t[0]),
+                               model.gamma * p[1], model.gamma * p[2]]))
 
     mu = FeFunction(spaces.scalar, lu_solve(mass, b))
     pi = FeFunction(spaces.pressure, np.zeros(n1))

@@ -6,13 +6,12 @@ from chnsfem.diagnostics import (
     StructureViolationError,
     initial_record,
     numerical_dissipation,
-    phase_increment_gradient_term,
     physical_dissipation,
     record,
     state_functionals,
 )
-from chnsfem.fespace import scalar_qp, tabulate, vector_qp
-from chnsfem.mesh import build_uniform, quad_rule
+from chnsfem.fespace import evaluator
+from chnsfem.mesh import build_uniform
 from chnsfem.physics import default_model
 from chnsfem.scheme import Stepper, StepperConfig, build_spaces, initial_state
 
@@ -71,22 +70,22 @@ def test_quadratic_form_terms_individually_nonnegative(short_run, model):
     cfg, states, _ = short_run
     new, old = states[1], states[0]
     spaces = new.spaces()
-    tab1 = tabulate(spaces.scalar, quad_rule(cfg.quad_degree))
-    tab2 = tabulate(spaces.velocity, quad_rule(cfg.quad_degree))
-    w = tab1.weights
-    _, gm = scalar_qp(tab1, spaces.scalar, new.mu.coefficients)
-    tn, gt = scalar_qp(tab1, spaces.scalar, new.theta.coefficients)
-    term_mu = np.einsum("eq,eqs,st,eqt->", w, gm, model.L11, gm)
-    term_theta = np.einsum("eq,eqs,st,eqt->", w, gt, model.L22, gt)
+    ev1 = evaluator(spaces.scalar, cfg.quad_degree)
+    ev2 = evaluator(spaces.velocity, cfg.quad_degree)
+    w = ev1.weights
+    gm = ev1.fields(new.mu.coefficients)[1:]
+    tn, *gt = ev1.fields(new.theta.coefficients)
+    term_mu = np.einsum("eq,seq,st,teq->", w, gm, model.L11, gm)
+    term_theta = np.einsum("eq,seq,st,teq->", w, gt, model.L22, gt)
     assert term_mu >= 0.0
     assert term_theta >= 0.0
-    _, gun = vector_qp(tab2, spaces.velocity, new.u.coefficients)
-    _, guo = vector_qp(tab2, spaces.velocity, old.u.coefficients)
+    gun = ev2.fields(new.u.coefficients)[:, 1:]
+    guo = ev2.fields(old.u.coefficients)[:, 1:]
     sym = 0.5 * (gun + guo)
-    sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
-    ps, _ = scalar_qp(tab1, spaces.scalar, old.phi.coefficients)
-    ts, _ = scalar_qp(tab1, spaces.scalar, old.theta.coefficients)
-    viscous = np.sum(w * model.eta(ps, ts) * np.sum(sym**2, (-1, -2)) * tn)
+    sym = 0.5 * (sym + np.swapaxes(sym, 0, 1))
+    ps = ev1.fields(old.phi.coefficients)[0]
+    ts = ev1.fields(old.theta.coefficients)[0]
+    viscous = np.sum(w * model.eta(ps, ts) * np.sum(sym**2, (0, 1)) * tn)
     total = physical_dissipation(new, old, model, cfg)
     assert viscous >= 0.0
     assert abs(total - (viscous + term_mu + term_theta)) <= 1e-15
@@ -97,14 +96,11 @@ def test_first_step_dissipation_decomposition(short_run, model):
     # quadrature of the compositions
     cfg, states, _ = short_run
     old, new = states[0], states[1]
-    spaces = new.spaces()
-    tab1 = tabulate(spaces.scalar, quad_rule(cfg.quad_degree))
-    w = tab1.weights
-    pn, _ = scalar_qp(tab1, spaces.scalar, new.phi.coefficients)
-    po, _ = scalar_qp(tab1, spaces.scalar, old.phi.coefficients)
-    tn, _ = scalar_qp(tab1, spaces.scalar, new.theta.coefficients)
-    to, _ = scalar_qp(tab1, spaces.scalar, old.theta.coefficients)
-    mn, _ = scalar_qp(tab1, spaces.scalar, new.mu.coefficients)
+    ev1 = evaluator(new.spaces().scalar, cfg.quad_degree)
+    w = ev1.weights
+    pn, po, tn, to, mn = ev1.fields(np.stack([
+        new.phi.coefficients, old.phi.coefficients, new.theta.coefficients,
+        old.theta.coefficients, new.mu.coefficients]))[:, 0]
     de_theta = np.sum(w * (model.e(pn, tn) - model.e(po, to)) * tn)
     mu_dphi = np.sum(w * mn * (pn - po))
     tau_d = cfg.tau * physical_dissipation(new, old, model, cfg)
@@ -134,10 +130,14 @@ def test_run_invariants_over_fifty_steps(short_run, model):
 
 
 def test_gradient_increment_lower_bound(short_run, model):
+    # gamma/2 * ||grad(phi_new - phi_old)||^2, the explicitly computable
+    # first summand of the numerical dissipation, bounds the recorded d_num
     cfg, states, _ = short_run
+    ev1 = evaluator(states[0].phi.space, cfg.quad_degree)
     for k in range(1, 11):
-        lower = phase_increment_gradient_term(states[k], states[k - 1], model, cfg)
-        d_num = numerical_dissipation(states[k], states[k - 1], model, cfg)
+        dphi = states[k].phi.coefficients - states[k - 1].phi.coefficients
+        lower = 0.5 * model.gamma * ev1.squared_norms(dphi)[1]
+        d_num = record(states[k], states[k - 1], model, cfg, step_index=k).d_num
         assert lower <= d_num + 1e-10
 
 
@@ -171,3 +171,12 @@ def test_record_fields(short_run, model):
     assert rec.time == pytest.approx(cfg.tau)
     assert rec.newton_iters == stats[0].iterations
     assert rec.total_energy == pytest.approx(rec.kinetic + rec.internal)
+
+
+def test_record_reuses_the_previous_rows_entropy(short_run, model):
+    cfg, states, _ = short_run
+    previous = record(states[1], states[0], model, cfg, step_index=1)
+    fresh = record(states[2], states[1], model, cfg, step_index=2)
+    reused = record(states[2], states[1], model, cfg, step_index=2,
+                    old_entropy=previous.entropy)
+    assert reused == fresh

@@ -10,13 +10,12 @@ from chnsfem.fespace import (
     build_space,
     c_skw,
     evaluate,
+    evaluator,
     interpolate,
     mean_value,
     norms,
     prolong,
-    scalar_qp,
     tabulate,
-    vector_qp,
 )
 from chnsfem.mesh import build_uniform, quad_rule
 
@@ -101,14 +100,13 @@ def test_interpolated_gradient_converges_at_second_order():
     for n in (4, 8, 16):
         space = build_space(build_uniform(n), P2)
         f = interpolate(space, lambda x, y: np.sin(2 * np.pi * x))
-        tab = tabulate(space, quad_rule(8))
-        _, grads = scalar_qp(tab, space, f.coefficients)
+        ev = evaluator(space, 8)
+        _, gx, gy = ev.fields(f.coefficients)
         # physical coordinates of the quadrature points
         corners = space.mesh.tri_coords
-        pts = np.einsum("qb,ebs->eqs", tab.rule.points, corners)
+        pts = np.einsum("qb,ebs->eqs", ev.tab.rule.points, corners)
         exact = 2 * np.pi * np.cos(2 * np.pi * pts[..., 0])
-        err2 = np.sum(tab.weights * ((grads[..., 0] - exact) ** 2
-                                     + grads[..., 1] ** 2))
+        err2 = np.sum(ev.weights * ((gx - exact) ** 2 + gy ** 2))
         errs.append(np.sqrt(err2))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 1.8)
@@ -121,10 +119,10 @@ def test_initial_velocity_divergence_decays_quadratically():
     for n in (4, 8, 16):
         space = build_space(build_uniform(n), P2_VECTOR)
         f = interpolate(space, u0)
-        tab = tabulate(space, quad_rule(6))
-        _, grads = vector_qp(tab, space, f.coefficients)
-        div = grads[..., 0, 0] + grads[..., 1, 1]
-        errs.append(np.sqrt(np.sum(tab.weights * div**2)))
+        ev = evaluator(space)
+        u = ev.fields(f.coefficients)
+        div = u[0, 1] + u[1, 2]
+        errs.append(np.sqrt(np.sum(ev.weights * div**2)))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 1.8)
 
@@ -237,3 +235,40 @@ def test_fefunction_length_check():
     space = build_space(build_uniform(2), P1)
     with pytest.raises(ValueError):
         FeFunction(space, np.zeros(space.dof_count + 1))
+
+
+@pytest.mark.parametrize("family", [P1, P2_VECTOR])
+def test_evaluator_operator_matches_tabulation(family):
+    # E @ c is the N/grads contraction per element, and E.T @ g the
+    # per-element scatter of the tested densities
+    rng = np.random.default_rng(11)
+    space = build_space(build_uniform(4), family)
+    ev = evaluator(space)
+    tab = tabulate(space, quad_rule(6))
+    dofs = space.element_dof_table
+    ns = space.scalar_dof_count
+    shape = tab.weights.shape
+    coeffs = rng.standard_normal(space.dof_count)
+    fields = ev.fields(coeffs).reshape(-1, 3, *shape)
+    for c in range(space.num_components):
+        local = coeffs[c * ns:(c + 1) * ns][dofs]
+        got = (ev.E @ coeffs[c * ns:(c + 1) * ns]).reshape(3, *shape)
+        vals = np.einsum("qb,eb->eq", tab.N, local)
+        grads = np.einsum("eqbs,eb->seq", tab.grads, local)
+        for f in (got, fields[c]):
+            assert np.abs(f[0] - vals).max() <= 1e-13
+            assert np.abs(f[1:] - grads).max() <= 1e-13
+
+    g = rng.standard_normal((3,) + shape)
+    scatter = np.zeros(ns)
+    np.add.at(scatter, dofs, np.einsum("eq,qb->eb", g[0], tab.N)
+              + np.einsum("seq,eqbs->eb", g[1:], tab.grads))
+    assert np.abs(ev.E.T @ g.ravel() - scatter).max() <= 1e-13
+    integrated = ev.integrate(np.stack([g / tab.weights] * space.num_components))
+    assert np.abs(integrated - np.tile(scatter, space.num_components)).max() <= 1e-13
+
+
+def test_evaluator_is_built_once_per_space_and_degree():
+    space = build_space(build_uniform(4), P1)
+    assert evaluator(space) is evaluator(space, 6)
+    assert evaluator(space, 4) is not evaluator(space)

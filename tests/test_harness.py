@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from chnsfem import fespace
 from chnsfem.fespace import prolong
 from chnsfem.harness import (
     ErrorRow,
@@ -170,3 +172,32 @@ def test_small_convergence_study_api():
         assert np.abs(mass - mass[0]).max() <= 1e-10
         assert np.abs(total - total[0]).max() <= 1e-9
         assert all(r.d_num >= -1e-10 for r in result.records[1:])
+
+
+def _count_tabulations(monkeypatch) -> list:
+    """Record the space of every tabulate call, from any module."""
+    spaces = []
+    tabulate = fespace.tabulate
+
+    def counting(space, rule):
+        spaces.append(space)
+        return tabulate(space, rule)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chnsfem") and getattr(module, "tabulate", None) is tabulate:
+            monkeypatch.setattr(module, "tabulate", counting)
+    return spaces
+
+
+def test_run_tabulates_each_space_at_most_once(monkeypatch):
+    # assembly, diagnostics and initial data share one evaluator per space
+    tabulated = _count_tabulations(monkeypatch)
+    result = run(RunConfig(base=4, final_time=1e-3, tau0=2.5e-4))
+    assert len(result.records) == 5
+    assert len(tabulated) == len(set(map(id, tabulated))) <= 3
+
+
+def test_error_norms_reuse_the_fine_runs_evaluators(monkeypatch):
+    tabulated = _count_tabulations(monkeypatch)
+    convergence_study(RunConfig(base=4, final_time=5e-4, tau0=2.5e-4), 2)
+    assert len(tabulated) == len(set(map(id, tabulated))) <= 6
