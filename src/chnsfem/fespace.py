@@ -223,6 +223,7 @@ class Evaluator:
         indptr = np.arange(0, data.size + 1, nb, dtype=np.int32)
         self.E = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
                                shape=(3 * ne * nq, space.scalar_dof_count))
+        self.Et = self.E.T  # a CSC view sharing E's arrays
 
     def fields(self, coeffs: np.ndarray) -> np.ndarray:
         """Values and derivatives at the points, shape ``lead + (3, ne, nq)``
@@ -244,9 +245,8 @@ class Evaluator:
         over all points, for every leading index."""
         d = np.asarray(densities) * self.weights
         lead = d.shape[:-3 - (self.num_components == 2)]
-        Et = self.E.T
         rows = d.reshape(-1, self.E.shape[0])
-        return np.stack([Et @ r for r in rows]).reshape(lead + (-1,))
+        return np.stack([self.Et @ r for r in rows]).reshape(lead + (-1,))
 
     def squared_norms(self, coeffs: np.ndarray) -> tuple[float, float]:
         """(squared L2 norm, squared H1 seminorm) of one function."""

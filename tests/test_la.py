@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from chnsfem.la import (
+    LU_RESIDUAL_BOUND,
     Factor,
     FactorizationError,
     NewtonSettings,
@@ -28,6 +29,38 @@ def test_singular_matrix_raises():
     A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(FactorizationError):
         lu_solve(A, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("stored_zero", [False, True])
+def test_all_zero_row_raises(stored_zero):
+    # the row scale of an all-zero row must not divide by zero
+    rows, cols, vals = [0, 0, 2, 2], [0, 2, 0, 2], [2.0, 1.0, 1.0, 3.0]
+    if stored_zero:
+        rows, cols, vals = rows + [1], cols + [1], vals + [0.0]
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(3, 3))
+    with pytest.raises(FactorizationError):
+        lu_solve(A, np.ones(3))
+
+
+def test_saddle_point_with_zero_diagonal_block():
+    # [[M, B^T], [B, 0]]: every constraint row has a zero diagonal, so the
+    # threshold pivoting must still leave the diagonal where it has to
+    rng = np.random.default_rng(7)
+    n, m = 12, 5
+    G = rng.standard_normal((n, n))
+    M = G @ G.T + n * np.eye(n)
+    B = 1e-3 * rng.standard_normal((m, n))
+    K = np.block([[M, B.T], [B, np.zeros((m, m))]])
+    # store every entry, the zero block included, as the Jacobians do
+    A = sp.csc_matrix((K.ravel(), tuple(np.indices(K.shape).reshape(2, -1))))
+    b = rng.standard_normal(n + m)
+    factor = Factor(A)
+    assert np.any(factor.lu.perm_r != factor.lu.perm_c)  # an off-diagonal pivot
+    x = factor.solve(b)
+    assert np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b)) \
+        <= LU_RESIDUAL_BOUND
+    assert np.abs(x - np.linalg.solve(K, b)).max() \
+        <= 1e-8 * np.abs(x).max()
 
 
 @pytest.mark.parametrize("n", [100, 2000, 20000])

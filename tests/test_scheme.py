@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from chnsfem._jets import Jet
 from chnsfem.fespace import mean_value
-from chnsfem.la import NewtonSettings
+from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
 from chnsfem.mesh import build_uniform
 from chnsfem.physics import default_model
 from chnsfem.scheme import (
@@ -227,6 +228,22 @@ def test_benchmark_step_newton_iterations(setup8, model):
     assert stats.iterations <= 6
     assert stats.residual_norm <= 1e-12
     assert new.time == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1.25e-4, 1e-6])
+def test_factor_fill_below_default_splu(setup8, model, tau):
+    # the level-0 benchmark Jacobian (setup8 holds the benchmark's data):
+    # the row-scaled, symmetric-pattern factor must stay well below the fill
+    # of scipy's default COLAMD ordering with partial pivoting at every tau
+    mesh, spaces, state = setup8
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=tau))
+    J = stepper.jacobian_matrix(stepper.fields_from_state(state),
+                                stepper.pack(state))
+    factor = Factor(J)
+    assert factor.lu.nnz <= 0.7 * splu(J).nnz
+    b = np.random.default_rng(0).standard_normal(stepper.size)
+    x = factor.solve(b)
+    assert np.linalg.norm(J @ x - b) / np.linalg.norm(b) <= LU_RESIDUAL_BOUND
 
 
 def test_reused_factor_gives_the_fresh_factor_solution(setup8, model):
