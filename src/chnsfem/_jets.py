@@ -131,9 +131,6 @@ class Jet:
         der[..., channel] = 1.0
         return cls(val, der)
 
-    def channel(self, c: int) -> np.ndarray:
-        return self.der[..., c]
-
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         out = kwargs.pop("out", None)
         if method != "__call__" or kwargs or out not in (None, ()):
@@ -156,11 +153,6 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(val={self.val!r})"
-
-
-def value_of(x):
-    """Plain value regardless of jet-ness."""
-    return x.val if isinstance(x, Jet) else x
 
 
 def derivative_of(x):

@@ -1,8 +1,9 @@
 """Command-line entry point: validate, run and converge subcommands.
 
-Configuration files are plain key=value sections.  Parsing is strict, a
-typo in a physics parameter would silently invalidate a verification run,
-so unknown sections or keys are rejected.  All numeric output is written
+Configuration files are plain key=value sections, parsed straight into
+the solver's RunConfig plus the CLI's own Output settings.  Parsing is
+strict, a typo in a physics parameter would silently invalidate a
+verification run, so unknown sections or keys are rejected.  All numeric output is written
 with 17 significant digits, which round-trips 64-bit floats exactly and
 makes reruns byte-identical.
 
@@ -16,7 +17,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +40,6 @@ from .scheme import State, StepFailure
 
 MODEL_NAME = "chnst-paper-sec3"
 
-_KNOWN_KEYS = {
-    "mesh": {"base", "level"},
-    "time": {"tau", "c_tau", "T"},
-    "model": {"name", "gamma", "mobility", "eta_min", "eta_quad"},
-    "scheme": {"star_rule", "newton_tol", "newton_max_iter", "theta_floor"},
-    "output": {"directory", "snapshot_stride", "formats", "eoc_gate"},
-}
-
 _FORMATS = {"csv", "vtk", "raw"}
 
 
@@ -54,58 +47,50 @@ class ConfigError(ValueError):
     """Unusable configuration file (syntax, unknown keys, bad values)."""
 
 
-@dataclass
-class Config:
-    base: int = 8
-    level: int = 0
-    tau: float | None = None
-    c_tau: float = 1e-3
-    final_time: float = 2e-3
-    model_name: str = MODEL_NAME
-    gamma: float = 1e-3
-    mobility: float = 1e-2
-    eta_min: float = 1e-3
-    eta_quad: float = 1.0 / 40.0
-    star_rule: str = "old"
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 30
-    theta_floor: float = 1e-8
+@dataclass(frozen=True)
+class Output:
+    """What the CLI writes and where; the solver reads none of it."""
+
     directory: Path = Path("out")
     snapshot_stride: int = 0
     formats: tuple[str, ...] = ("csv",)
     eoc_gate: float = 1.5
 
-    def build_model(self):
-        if self.model_name != MODEL_NAME:
-            raise ConfigError(
-                f"unknown model {self.model_name!r}; available: {MODEL_NAME}")
-        return default_model(gamma=self.gamma, mobility=self.mobility,
-                             eta_min=self.eta_min, eta_quad=self.eta_quad)
 
-    def run_config(self) -> RunConfig:
-        return RunConfig(
-            base=self.base, level=self.level, final_time=self.final_time,
-            c_tau=self.c_tau, tau0=self.tau, star_rule=self.star_rule,
-            newton=NewtonSettings(tol=self.newton_tol,
-                                  max_iter=self.newton_max_iter),
-            theta_floor=self.theta_floor, model=self.build_model())
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in raw.split(",") if f.strip())
 
 
-def _convert(section: str, key: str, raw: str, kind, where: str):
-    try:
-        value = kind(raw)
-        if not math.isfinite(value):
-            raise ValueError(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{where}: value {raw!r} for [{section}] {key} is not a valid "
-            f"finite {kind.__name__}") from exc
-    return value
+#: (section, key) -> (type, (target, name)): a RunConfig field ("run"), a
+#: NewtonSettings field, a default_model keyword (bar the model's name,
+#: which parse_config checks) or an Output field.  Each default lives with
+#: its target, so a key left out of the file keeps it.
+_KEYS = {
+    ("mesh", "base"): (int, ("run", "base")),
+    ("mesh", "level"): (int, ("run", "level")),
+    ("time", "tau"): (float, ("run", "tau0")),
+    ("time", "c_tau"): (float, ("run", "c_tau")),
+    ("time", "T"): (float, ("run", "final_time")),
+    ("model", "name"): (str, ("model", "name")),
+    ("model", "gamma"): (float, ("model", "gamma")),
+    ("model", "mobility"): (float, ("model", "mobility")),
+    ("model", "eta_min"): (float, ("model", "eta_min")),
+    ("model", "eta_quad"): (float, ("model", "eta_quad")),
+    ("scheme", "star_rule"): (str, ("run", "star_rule")),
+    ("scheme", "newton_tol"): (float, ("newton", "tol")),
+    ("scheme", "newton_max_iter"): (int, ("newton", "max_iter")),
+    ("scheme", "theta_floor"): (float, ("run", "theta_floor")),
+    ("output", "directory"): (Path, ("output", "directory")),
+    ("output", "snapshot_stride"): (int, ("output", "snapshot_stride")),
+    ("output", "formats"): (_names, ("output", "formats")),
+    ("output", "eoc_gate"): (float, ("output", "eoc_gate")),
+}
 
 
-def parse_config(path: str | Path) -> Config:
+def parse_config(path: str | Path) -> tuple[RunConfig, Output]:
     """Parse and validate a key=value configuration file."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
     parser.optionxform = str  # keys are case-sensitive ('T' stays 'T')
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -116,62 +101,42 @@ def parse_config(path: str | Path) -> Config:
         # configparser reports the offending line in its message
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    cfg = Config()
+    kwargs = {"run": {}, "newton": {}, "model": {}, "output": {}}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in {s for s, _ in _KEYS}:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _KNOWN_KEYS[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            where = str(path)
-            if section == "mesh":
-                setattr(cfg, key, _convert(section, key, raw, int, where))
-            elif section == "time":
-                if key == "T":
-                    cfg.final_time = _convert(section, key, raw, float, where)
-                elif key == "tau":
-                    cfg.tau = _convert(section, key, raw, float, where)
-                else:
-                    cfg.c_tau = _convert(section, key, raw, float, where)
-            elif section == "model":
-                if key == "name":
-                    cfg.model_name = raw.strip()
-                else:
-                    setattr(cfg, key, _convert(section, key, raw, float, where))
-            elif section == "scheme":
-                if key == "star_rule":
-                    value = raw.strip()
-                    if value not in ("old", "new"):
-                        raise ConfigError(
-                            f"{where}: star_rule must be 'old' or 'new', got {value!r}")
-                    cfg.star_rule = value
-                elif key == "newton_max_iter":
-                    cfg.newton_max_iter = _convert(section, key, raw, int, where)
-                else:
-                    setattr(cfg, key, _convert(section, key, raw, float, where))
-            elif section == "output":
-                if key == "directory":
-                    cfg.directory = Path(raw.strip())
-                elif key == "formats":
-                    formats = tuple(f.strip() for f in raw.split(",") if f.strip())
-                    unknown = set(formats) - _FORMATS
-                    if unknown:
-                        raise ConfigError(
-                            f"{where}: unknown output formats {sorted(unknown)}; "
-                            f"available: {sorted(_FORMATS)}")
-                    cfg.formats = formats
-                elif key == "snapshot_stride":
-                    cfg.snapshot_stride = _convert(section, key, raw, int, where)
-                else:
-                    cfg.eoc_gate = _convert(section, key, raw, float, where)
+            kind, (target, name) = _KEYS[section, key]
+            try:
+                value = kind(raw.strip())
+                if kind in (int, float) and not math.isfinite(value):
+                    raise ValueError(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}: value {raw!r} for [{section}] {key} is not a "
+                    f"valid finite {kind.__name__}") from exc
+            kwargs[target][name] = value
 
-    if cfg.snapshot_stride < 0:
+    model_name = kwargs["model"].pop("name", MODEL_NAME)
+    if model_name != MODEL_NAME:
+        raise ConfigError(
+            f"{path}: unknown model {model_name!r}; available: {MODEL_NAME}")
+    out = Output(**kwargs["output"])
+    unknown = set(out.formats) - _FORMATS
+    if unknown:
+        raise ConfigError(f"{path}: unknown output formats {sorted(unknown)}; "
+                          f"available: {sorted(_FORMATS)}")
+    if out.snapshot_stride < 0:
         raise ConfigError(f"{path}: snapshot_stride must be nonnegative")
     try:  # the solver's own checks of mesh, time, model and Newton values
-        cfg.run_config()
+        cfg = RunConfig(**kwargs["run"],
+                        newton=NewtonSettings(**kwargs["newton"]),
+                        model=default_model(**kwargs["model"]))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cfg
+    return cfg, out
 
 
 def _fmt(value: float) -> str:
@@ -248,16 +213,17 @@ def write_raw_snapshot(path: Path, state: State):
              u=state.u.coefficients, pi=state.pi.coefficients)
 
 
-def _write_snapshots(cfg: Config, outdir: Path, result: RunResult):
-    if cfg.snapshot_stride <= 0:
+def _write_snapshots(out: Output, result: RunResult):
+    if out.snapshot_stride <= 0:
         return
+    outdir = out.directory
     for k, state in enumerate(result.states):
-        if k % cfg.snapshot_stride != 0:
+        if k % out.snapshot_stride != 0:
             continue
-        if "vtk" in cfg.formats:
+        if "vtk" in out.formats:
             write_vtk_snapshot(outdir / f"snapshot_{k}.vtk", result.mesh,
                                state, title=f"step {k}")
-        if "raw" in cfg.formats:
+        if "raw" in out.formats:
             write_raw_snapshot(outdir / f"snapshot_{k}_coeffs.npz", state)
 
 
@@ -283,18 +249,18 @@ def write_eoc_tables(outdir: Path, table: ErrorTable):
                                           encoding="utf-8")
 
 
-def cmd_validate(cfg: Config) -> int:
-    report = validate_model(cfg.build_model())
+def cmd_validate(cfg: RunConfig, out: Output) -> int:
+    report = validate_model(cfg.model)
     print(report)
     print("model validation:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
 
 
-def cmd_run(cfg: Config) -> int:
-    outdir = cfg.directory
+def cmd_run(cfg: RunConfig, out: Output) -> int:
+    outdir = out.directory
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        result = run(cfg.run_config())
+        result = run(cfg)
     except (StepFailure, StructureViolationError) as exc:
         step = getattr(exc, "step_index", None)
         print(f"error: solver failed at step {step}: {exc}", file=sys.stderr)
@@ -303,7 +269,7 @@ def cmd_run(cfg: Config) -> int:
         print(f"error: linear solver failed: {exc}", file=sys.stderr)
         return 1
     write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
-    _write_snapshots(cfg, outdir, result)
+    _write_snapshots(out, result)
     tau, n_steps = result.config.resolve_tau()
     print(f"completed {n_steps} steps (tau = {tau:g}) on a "
           f"{result.mesh.n}x{result.mesh.n} mesh; diagnostics in "
@@ -311,17 +277,16 @@ def cmd_run(cfg: Config) -> int:
     return 0
 
 
-def cmd_converge(cfg: Config) -> int:
+def cmd_converge(cfg: RunConfig, out: Output) -> int:
     num_levels = cfg.level + 1
     if num_levels < 2:
         print("error: converge needs [mesh] level >= 1 (levels 0..level are run)",
               file=sys.stderr)
         return 2
-    outdir = cfg.directory
+    outdir = out.directory
     outdir.mkdir(parents=True, exist_ok=True)
-    base_cfg = cfg.run_config()
     try:
-        table, _ = convergence_study(base_cfg, num_levels)
+        table, _ = convergence_study(cfg, num_levels)
     except (StepFailure, StructureViolationError, FactorizationError) as exc:
         step = getattr(exc, "step_index", None)
         print(f"error: solver failed (step {step}): {exc}", file=sys.stderr)
@@ -332,8 +297,8 @@ def cmd_converge(cfg: Config) -> int:
     if final is None:
         print("no convergence order available (single error row)")
         return 0
-    print(f"final combined-error order: {final:.2f} (gate {cfg.eoc_gate:g})")
-    return 0 if final >= cfg.eoc_gate else 1
+    print(f"final combined-error order: {final:.2f} (gate {out.eoc_gate:g})")
+    return 0 if final >= out.eoc_gate else 1
 
 
 def main(argv=None) -> int:
@@ -357,16 +322,16 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        cfg = parse_config(args.config)
+        cfg, out = parse_config(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output is not None:
-        cfg.directory = Path(args.output)
+        out = replace(out, directory=Path(args.output))
 
     handlers = {"validate": cmd_validate, "run": cmd_run,
                 "converge": cmd_converge}
-    return handlers[args.command](cfg)
+    return handlers[args.command](cfg, out)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import evaluator
+from .fespace import DEFAULT_QUAD_DEGREE, evaluator
 from .physics import MaterialModel
 from .scheme import STAR_OLD, State, StepperConfig
 
@@ -59,7 +59,8 @@ def _evaluators(state: State, degree: int):
 
 
 def state_functionals(state: State, model: MaterialModel,
-                      quad_degree: int = 6) -> tuple[float, float, float, float]:
+                      quad_degree: int = DEFAULT_QUAD_DEGREE
+                      ) -> tuple[float, float, float, float]:
     """(mass, kinetic energy, internal energy, entropy) of one level."""
     ev1, ev2 = _evaluators(state, quad_degree)
     w = ev1.weights

@@ -58,10 +58,10 @@ def benchmark_initial_data():
 class RunConfig:
     """One simulation of the refinement ladder.
 
-    The mesh has ``base * 2**level`` subdivisions per axis.  The time step
-    at level k is ``c_tau * h_k`` (or ``tau0 / 2**k`` when ``tau0`` is
-    given explicitly) and is then shrunk to the nearest exact divisor of
-    ``final_time``.
+    The mesh has ``base * 2**level`` subdivisions per axis.  Level 0 takes
+    the fewest steps of equal length that reach ``final_time`` with a step
+    no longer than ``c_tau * h_0`` (or ``tau0`` when given explicitly);
+    level k takes ``2**k`` times as many, so the levels nest in time.
     """
 
     base: int = 8
@@ -69,10 +69,9 @@ class RunConfig:
     final_time: float = 2.0e-3
     c_tau: float = 1e-3
     tau0: float | None = None
-    star_rule: str = "old"
+    star_rule: str = StepperConfig.star_rule
     newton: NewtonSettings = field(default_factory=NewtonSettings)
-    theta_floor: float = 1e-8
-    quad_degree: int = 6
+    theta_floor: float = StepperConfig.theta_floor
     model: MaterialModel = field(default_factory=default_model)
     initial_data: tuple = field(default_factory=benchmark_initial_data)
 
@@ -87,25 +86,22 @@ class RunConfig:
             raise ValueError("time-step constant c_tau must be positive")
         if self.tau0 is not None and self.tau0 <= 0:
             raise ValueError("time step tau0 must be positive")
+        self.stepper_config()  # checks the step and the star rule
 
     @property
     def mesh_subdivisions(self) -> int:
         return self.base * 2**self.level
 
     def resolve_tau(self) -> tuple[float, int]:
-        """Time step (shrunk to divide final_time exactly) and step count."""
-        if self.tau0 is not None:
-            requested = self.tau0 / 2**self.level
-        else:
-            requested = self.c_tau / self.mesh_subdivisions
-        n_steps = max(1, math.ceil(self.final_time / requested - 1e-9))
+        """Time step (dividing final_time exactly) and step count."""
+        requested = self.tau0 if self.tau0 is not None else self.c_tau / self.base
+        n_steps = max(1, math.ceil(self.final_time / requested - 1e-9)) * 2**self.level
         return self.final_time / n_steps, n_steps
 
     def stepper_config(self) -> StepperConfig:
         tau, _ = self.resolve_tau()
         return StepperConfig(tau=tau, star_rule=self.star_rule,
-                             newton=self.newton, theta_floor=self.theta_floor,
-                             quad_degree=self.quad_degree)
+                             newton=self.newton, theta_floor=self.theta_floor)
 
 
 @dataclass(eq=False)
@@ -133,7 +129,7 @@ def run(cfg: RunConfig) -> RunResult:
     stepper = Stepper(mesh, spaces, cfg.model, scfg)
     phi0, theta0, u0 = cfg.initial_data
     state = initial_state(mesh, spaces, cfg.model, phi0, theta0, u0,
-                          quad_degree=cfg.quad_degree)
+                          quad_degree=scfg.quad_degree)
     states = [state]
     records = [initial_record(state, cfg.model, scfg)]
     stats: list[NewtonStats] = []
@@ -185,7 +181,7 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
         raise ValueError("fine run must refine the coarse run once in time")
     tau_c = coarse.tau
     # the fine run's evaluators: the norms use the rule of its assembly
-    degree = coarse.config.quad_degree
+    degree = coarse.config.stepper_config().quad_degree
     ev1 = evaluator(fine.spaces.scalar, degree)
     ev2 = evaluator(fine.spaces.velocity, degree)
     n_intervals = len(coarse.states) - 1

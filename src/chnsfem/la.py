@@ -33,6 +33,9 @@ DIAG_PIVOT_THRESH = 1e-3
 #: a chord step must cut the residual norm by this factor to keep the factor
 CHORD_CONTRACTION = 5.0
 
+#: step halvings a Newton iteration may take before it accepts its trial
+MAX_HALVINGS = 8
+
 
 class FactorizationError(RuntimeError):
     """Factorization failed or produced an unusable solution."""
@@ -57,8 +60,6 @@ class NewtonSettings:
 
     tol: float = 1e-12
     max_iter: int = 30
-    damping: bool = True
-    max_halvings: int = 8
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -147,18 +148,17 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
             factorizations += 1
             dx = factor.solve(-r)
             scale = 1.0
-            for halving in range(settings.max_halvings + 1):
+            for halving in range(MAX_HALVINGS + 1):
                 trial = x + scale * dx
                 try:
                     r_trial = np.asarray(residual(trial), dtype=float)
                 except retryable:
-                    if halving == settings.max_halvings:
+                    if halving == MAX_HALVINGS:
                         raise
                     scale *= 0.5
                     continue
                 rnorm_trial = float(np.linalg.norm(r_trial))
-                if (settings.damping and rnorm_trial > rnorm
-                        and halving < settings.max_halvings):
+                if rnorm_trial > rnorm and halving < MAX_HALVINGS:
                     scale *= 0.5
                     continue
                 accepted = (trial, r_trial, rnorm_trial)

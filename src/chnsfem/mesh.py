@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-#: snap tolerance for identifying periodic coordinates
-SNAP_TOL = 1e-12
-
 #: highest quadrature degree served by :func:`quad_rule`
 MAX_QUAD_DEGREE = 20
 
@@ -63,26 +60,6 @@ class PeriodicTriMesh:
 
 
 @dataclass(frozen=True, eq=False)
-class ElementGeometry:
-    """Affine geometry of one triangle.
-
-    ``origin`` and ``jacobian`` define the map r -> origin + jacobian @ r
-    from the reference triangle {(0,0),(1,0),(0,1)} to the physical one.
-    ``bary_grads`` holds the (constant) physical gradients of the three
-    barycentric coordinate functions, one per row.
-    """
-
-    origin: np.ndarray
-    jacobian: np.ndarray
-    area: float
-    bary_grads: np.ndarray
-
-    def map_to_physical(self, ref_points: np.ndarray) -> np.ndarray:
-        ref_points = np.asarray(ref_points, dtype=float)
-        return self.origin + ref_points @ self.jacobian.T
-
-
-@dataclass(frozen=True, eq=False)
 class QuadRule:
     """Quadrature on the reference triangle {(0,0),(1,0),(0,1)}.
 
@@ -95,10 +72,6 @@ class QuadRule:
     points: np.ndarray
     weights: np.ndarray
     degree: int
-
-    @property
-    def num_points(self) -> int:
-        return self.weights.shape[0]
 
 
 def build_uniform(n: int) -> PeriodicTriMesh:
@@ -136,28 +109,6 @@ def build_uniform(n: int) -> PeriodicTriMesh:
 
     return PeriodicTriMesh(n=n, h=h, vertices=vertices, triangles=triangles,
                            tri_coords=tri_coords)
-
-
-def refine(mesh: PeriodicTriMesh) -> PeriodicTriMesh:
-    """Uniformly refine by halving the mesh size.
-
-    The coarse vertex set is a subset of the fine one, so coarse finite
-    element spaces embed exactly into the refined ones.
-    """
-    return build_uniform(2 * mesh.n)
-
-
-def element_geometry(mesh: PeriodicTriMesh, t: int) -> ElementGeometry:
-    """Affine map, area and barycentric gradients of triangle ``t``."""
-    if not 0 <= t < mesh.num_triangles:
-        raise IndexError(f"triangle index {t} out of range [0, {mesh.num_triangles})")
-    corners = mesh.tri_coords[t]
-    jac = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    inv_t = np.array([[jac[1, 1], -jac[1, 0]], [-jac[0, 1], jac[0, 0]]]) / det
-    ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    return ElementGeometry(origin=corners[0].copy(), jacobian=jac,
-                           area=0.5 * det, bary_grads=ref_grads @ inv_t.T)
 
 
 def _orbit3(a: float, b: float) -> list[tuple[float, float, float]]:

@@ -11,7 +11,6 @@ inside them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -131,45 +130,6 @@ def default_model(gamma: float = 1e-3, mobility: float = 1e-2,
         L11=mobility, L12=0.0, L22=mobility,
         split_theta_floor=0.5,
     )
-
-
-def _require_positive_theta(theta):
-    if np.any(np.asarray(theta) <= 0.0):
-        raise ValueError("inverse temperature must be positive")
-
-
-def eval_internal_energy(model: MaterialModel, phi, theta):
-    _require_positive_theta(theta)
-    return model.e(phi, theta)
-
-
-def eval_entropy(model: MaterialModel, phi, theta, g2):
-    _require_positive_theta(theta)
-    if np.any(np.asarray(g2) < 0.0):
-        raise ValueError("g2 = |grad phi|^2 must be nonnegative")
-    return model.s(phi, theta, g2)
-
-
-def eval_split_derivative(model: MaterialModel, phi_new, phi_old, theta_new):
-    """Splitting derivative: implicit convex part, explicit concave part."""
-    _require_positive_theta(theta_new)
-    floor = model.split_theta_floor
-    if floor is not None and np.any(np.asarray(theta_new) <= floor):
-        warnings.warn(
-            f"inverse temperature at or below {floor}: the convex-concave "
-            "split is not convex/concave there", SplitValidityWarning,
-            stacklevel=2)
-    return model.dphi_psi_vex(phi_new, theta_new) + model.dphi_psi_cav(phi_old, theta_new)
-
-
-def eval_viscosity(model: MaterialModel, phi, theta):
-    _require_positive_theta(theta)
-    return model.eta(phi, theta)
-
-
-def eval_mobility(model: MaterialModel, phi, theta):
-    """Constant mobility blocks (state arguments kept for interface parity)."""
-    return model.L11, model.L12, model.L22
 
 
 @dataclass(frozen=True)

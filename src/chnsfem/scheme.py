@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from ._jets import Jet, derivative_of
 from .fespace import (
+    DEFAULT_QUAD_DEGREE,
     P1,
     P1_MEANFREE,
     P2_VECTOR,
@@ -123,7 +124,7 @@ class StepperConfig:
     star_rule: str = STAR_OLD
     newton: NewtonSettings = field(default_factory=NewtonSettings)
     theta_floor: float = 1e-8
-    quad_degree: int = 6
+    quad_degree: int = DEFAULT_QUAD_DEGREE
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -465,7 +466,7 @@ class Stepper:
 
 
 def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
-                  phi0, theta0, u0, quad_degree: int = 6) -> State:
+                  phi0, theta0, u0, quad_degree: int = DEFAULT_QUAD_DEGREE) -> State:
     """Interpolate the initial data and project the chemical potential.
 
     The initial chemical potential solves the mass-matrix system

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,8 @@ from chnsfem.cli import (
     parse_config,
     write_vtk_snapshot,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 BASE_CONFIG = """\
@@ -31,12 +37,33 @@ def write_config(tmp_path, text, name="config.ini"):
 
 def test_parse_defaults(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path / "out"))
-    cfg = parse_config(path)
+    cfg, out = parse_config(path)
     assert cfg.base == 8
-    assert cfg.tau == pytest.approx(1e-4)
+    assert cfg.tau0 == pytest.approx(1e-4)
     assert cfg.final_time == pytest.approx(1e-3)
-    assert cfg.model_name == "chnst-paper-sec3"
-    assert cfg.formats == ("csv",)
+    assert cfg.model.gamma == 1e-3
+    assert out.directory == tmp_path / "out"
+    assert out.formats == ("csv",)
+
+
+def _parsed(path):
+    """parse_config's result with the model replaced by its parameters
+    (material models compare by identity)."""
+    cfg, out = parse_config(path)
+    m = cfg.model
+    phi = np.linspace(-0.5, 1.5, 5)
+    model = (m.gamma, m.L11.tolist(), m.L12.tolist(), m.L22.tolist(),
+             m.eta(phi, 1.0).tolist())
+    run = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+           if f.name not in ("model", "initial_data")}
+    return run, model, out
+
+
+def test_readme_config_parses_to_defaults(tmp_path):
+    # the documented file spells out every default, with inline comments
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    documented = _parsed(write_config(tmp_path, block))
+    assert documented == _parsed(write_config(tmp_path, "", name="empty.ini"))
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -71,6 +98,9 @@ def test_bad_value_rejected(tmp_path):
     ("time", "tau = nan"),
     ("time", "c_tau = 0"),
     ("model", "name = other"),
+    ("scheme", "star_rule = mid"),
+    ("output", "formats = csv, pdf"),
+    ("output", "snapshot_stride = -1"),
 ])
 def test_invalid_value_rejected(tmp_path, capsys, section, line):
     path = write_config(tmp_path, f"[{section}]\n{line}\n")
@@ -195,6 +225,26 @@ eoc_gate = 0.0
     assert header.count("e") == 1 and "eoc_e" in header
     assert len(csv_lines) == 3  # header + rows for levels 0 and 1
     assert "linf_l2_theta" in header
+
+
+def test_converge_nests_steps_of_a_non_dividing_tau(tmp_path):
+    # tau does not divide T: level 0 takes 1 step, level 1 must take 2
+    outdir = tmp_path / "out"
+    text = """\
+[mesh]
+base = 4
+level = 1
+
+[time]
+tau = 1e-3
+T = 2.5e-4
+
+[output]
+directory = {outdir}
+""".format(outdir=outdir)
+    path = write_config(tmp_path, text)
+    assert main(["converge", "--config", str(path)]) == 0
+    assert len((outdir / "eoc_table.csv").read_text().splitlines()) == 2
 
 
 def test_output_flag_overrides_directory(tmp_path):

@@ -73,6 +73,10 @@ def test_tau_adjusts_down_to_divide_final_time():
     assert n_steps == 4
     assert tau * n_steps == pytest.approx(1e-3)
     assert tau <= 3e-4 + 1e-15
+    # each level doubles the level-0 count, so the levels nest in time
+    for level in (1, 2):
+        fine = dataclasses.replace(cfg, level=level)
+        assert fine.resolve_tau() == (1e-3 / (4 * 2**level), 4 * 2**level)
 
 
 def test_config_validation():
@@ -82,6 +86,8 @@ def test_config_validation():
         RunConfig(level=-1)
     with pytest.raises(ValueError):
         RunConfig(final_time=0.0)
+    with pytest.raises(ValueError):
+        RunConfig(star_rule="mid")
 
 
 def _fake_refined(result: RunResult) -> RunResult:

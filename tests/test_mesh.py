@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from chnsfem.fespace import P1, build_space, tabulate
 from chnsfem.mesh import (
     MAX_QUAD_DEGREE,
     UnsupportedDegreeError,
     build_uniform,
-    element_geometry,
     quad_rule,
     reference_monomial_integral,
-    refine,
 )
 
 
@@ -77,50 +76,44 @@ def test_build_uniform_rejects_zero():
 
 
 def test_refine_doubles_subdivisions():
-    fine = refine(build_uniform(2))
-    assert fine.n == 4
-    assert fine.num_triangles == 32
+    coarse, fine = build_uniform(2), build_uniform(4)
+    assert fine.n == 2 * coarse.n
+    assert fine.num_triangles == 4 * coarse.num_triangles == 32
 
 
 def test_refine_is_nested():
     coarse = build_uniform(2)
-    fine = refine(coarse)
+    fine = build_uniform(2 * coarse.n)
     fine_set = {(round(x * 1e12), round(y * 1e12)) for x, y in fine.vertices}
     for x, y in coarse.vertices:
         assert (round(x * 1e12), round(y * 1e12)) in fine_set
 
 
 def test_refine_composition():
-    assert refine(refine(build_uniform(1))).n == 4
+    # two halvings of the mesh size nest: n=1 inside n=2 inside n=4
+    meshes = [build_uniform(1)]
+    for _ in range(2):
+        meshes.append(build_uniform(2 * meshes[-1].n))
+    assert meshes[-1].n == 4
+    keys = [{(round(x * 1e12), round(y * 1e12)) for x, y in m.vertices}
+            for m in meshes]
+    assert keys[0] <= keys[1] <= keys[2]
 
 
 def test_element_geometry_uniform_area():
+    # the Jacobian-scaled weights of each triangle sum to its area h^2/2
     mesh = build_uniform(2)
-    for t in range(mesh.num_triangles):
-        geo = element_geometry(mesh, t)
-        assert abs(geo.area - 1.0 / 8.0) <= 1e-15
-
-
-def test_barycentric_gradients_sum_to_zero():
-    mesh = build_uniform(3)
-    for t in (0, 5, 17):
-        geo = element_geometry(mesh, t)
-        assert np.abs(geo.bary_grads.sum(axis=0)).max() <= 1e-13
+    weights = tabulate(build_space(mesh, P1), quad_rule(6)).weights
+    assert np.abs(weights.sum(axis=1) - mesh.h**2 / 2).max() <= 1e-15
 
 
 def test_affine_map_hits_triangle_corners():
+    # tabulate's gradients invert the map from the reference corners to
+    # tri_coords: the P1 interpolant of x (of y) has gradient e_x (e_y)
     mesh = build_uniform(4)
-    ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for t in (0, 3, 31):
-        geo = element_geometry(mesh, t)
-        mapped = geo.map_to_physical(ref_corners)
-        assert np.abs(mapped - mesh.tri_coords[t]).max() <= 1e-14
-
-
-def test_element_geometry_index_range():
-    mesh = build_uniform(2)
-    with pytest.raises(IndexError):
-        element_geometry(mesh, 8)
+    grads = tabulate(build_space(mesh, P1), quad_rule(1)).grads
+    jac = np.einsum("eqbs,ebt->eqts", grads, mesh.tri_coords)
+    assert np.abs(jac - np.eye(2)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("degree", range(1, MAX_QUAD_DEGREE + 1))

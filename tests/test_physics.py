@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from chnsfem.physics import (
-    MaterialModel,
-    SplitValidityWarning,
-    default_model,
-    eval_entropy,
-    eval_internal_energy,
-    eval_mobility,
-    eval_split_derivative,
-    eval_viscosity,
-    validate_model,
-)
+from chnsfem.physics import MaterialModel, default_model, validate_model
 
 
 @pytest.fixture(scope="module")
@@ -25,40 +15,26 @@ def _samples(n=100, seed=1):
 
 
 def test_internal_energy_values(model):
-    assert abs(eval_internal_energy(model, 0.5, 1.0) - 1.125) <= 1e-15
-    assert abs(eval_internal_energy(model, 0.0, 2.0) - 0.5) <= 1e-15
-
-
-def test_internal_energy_domain_error(model):
-    with pytest.raises(ValueError):
-        eval_internal_energy(model, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        eval_internal_energy(model, 0.5, -1.0)
+    assert abs(model.e(0.5, 1.0) - 1.125) <= 1e-15
+    assert abs(model.e(0.0, 2.0) - 0.5) <= 1e-15
 
 
 def test_internal_energy_matches_fd_of_free_energy(model):
     phi, theta = _samples()
     h = 1e-5
     fd = (model.psi(phi, theta + h) - model.psi(phi, theta - h)) / (2 * h)
-    assert np.abs(eval_internal_energy(model, phi, theta) - fd).max() <= 1e-7
+    assert np.abs(model.e(phi, theta) - fd).max() <= 1e-7
 
 
 def test_entropy_values(model):
-    assert abs(eval_entropy(model, 0.0, 1.0, 0.0) - 1.0) <= 1e-15
-    assert abs(eval_entropy(model, 0.5, 1.0, 0.0) - 1.0625) <= 1e-15
-
-
-def test_entropy_domain_errors(model):
-    with pytest.raises(ValueError):
-        eval_entropy(model, 0.0, -2.0, 0.0)
-    with pytest.raises(ValueError):
-        eval_entropy(model, 0.0, 1.0, -1.0)
+    assert abs(model.s(0.0, 1.0, 0.0) - 1.0) <= 1e-15
+    assert abs(model.s(0.5, 1.0, 0.0) - 1.0625) <= 1e-15
 
 
 def test_entropy_identity_algebraic(model):
     phi, theta = _samples()
     g2 = np.random.default_rng(2).uniform(0, 4, phi.shape)
-    lhs = eval_entropy(model, phi, theta, g2)
+    lhs = model.s(phi, theta, g2)
     rhs = theta * model.e(phi, theta) - model.psi(phi, theta) - 0.5 * model.gamma * g2
     assert np.abs(lhs - rhs).max() <= 1e-12
 
@@ -67,21 +43,18 @@ def test_split_derivative_telescopes_to_full_derivative(model):
     phi, theta = _samples()
     h = 1e-5
     fd = (model.psi(phi + h, theta) - model.psi(phi - h, theta)) / (2 * h)
-    got = eval_split_derivative(model, phi, phi, theta)
+    got = model.dphi_psi_vex(phi, theta) + model.dphi_psi_cav(phi, theta)
     assert np.abs(got - fd).max() <= 1e-7
 
 
 def test_split_derivative_stationary_at_half(model):
-    assert abs(eval_split_derivative(model, 0.5, 0.5, 1.0)) <= 1e-15
+    assert abs(model.dphi_psi_vex(0.5, 1.0) + model.dphi_psi_cav(0.5, 1.0)) <= 1e-15
 
 
 def test_split_derivative_mixed_arguments(model):
-    assert abs(eval_split_derivative(model, 1.0, 0.0, 1.0) - 1.0) <= 1e-15
-
-
-def test_split_derivative_warns_below_validity(model):
-    with pytest.warns(SplitValidityWarning):
-        eval_split_derivative(model, 0.2, 0.1, 0.4)
+    # implicit convex part at phi_new = 1, explicit concave part at phi_old = 0
+    got = model.dphi_psi_vex(1.0, 1.0) + model.dphi_psi_cav(0.0, 1.0)
+    assert abs(got - 1.0) <= 1e-15
 
 
 def test_split_parts_convex_concave(model):
@@ -110,12 +83,12 @@ def test_split_consistency(model):
 
 
 def test_viscosity_values(model):
-    assert abs(eval_viscosity(model, 1.0, 1.0) - 0.101) <= 1e-15
-    assert abs(eval_viscosity(model, -1.0, 1.0) - 1e-3) <= 1e-18
+    assert abs(model.eta(1.0, 1.0) - 0.101) <= 1e-15
+    assert abs(model.eta(-1.0, 1.0) - 1e-3) <= 1e-18
 
 
 def test_mobility_blocks(model):
-    L11, L12, L22 = eval_mobility(model, 0.3, 1.1)
+    L11, L12, L22 = model.L11, model.L12, model.L22
     assert np.array_equal(L11, 1e-2 * np.eye(2))
     assert np.array_equal(L22, 1e-2 * np.eye(2))
     assert np.array_equal(L12, np.zeros((2, 2)))

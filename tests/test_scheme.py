@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from chnsfem._jets import Jet
 from chnsfem.fespace import mean_value
 from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
 from chnsfem.mesh import build_uniform
-from chnsfem.physics import default_model
+from chnsfem.physics import SplitValidityWarning, default_model
 from chnsfem.scheme import (
     PositivityError,
     StepFailure,
@@ -66,8 +67,8 @@ def test_jet_arithmetic_against_hand_derivatives():
     x = Jet.seeded(v, 0, 2)
     y = 2.0 * x + x * x - 1.0 / x
     expect = 2.0 + 2.0 * v + 1.0 / v**2
-    assert np.abs(y.channel(0) - expect).max() <= 1e-13
-    assert not y.channel(1).any()
+    assert np.abs(y.der[..., 0] - expect).max() <= 1e-13
+    assert not y.der[..., 1].any()
 
 
 def test_jet_numpy_ufuncs():
@@ -75,10 +76,10 @@ def test_jet_numpy_ufuncs():
     x = Jet.seeded(v, 1, 3)
     y = np.log(x) + np.sqrt(x) * np.exp(x)
     expect = 1.0 / v + np.exp(v) * (0.5 / np.sqrt(v) + np.sqrt(v))
-    assert np.abs(y.channel(1) - expect).max() <= 1e-13
+    assert np.abs(y.der[..., 1] - expect).max() <= 1e-13
     z = np.asarray([2.0]) * x  # ndarray on the left must defer to the jet
     assert isinstance(z, Jet)
-    assert np.abs(z.channel(1) - 2.0).max() == 0.0
+    assert np.abs(z.der[..., 1] - 2.0).max() == 0.0
 
 
 # -- initial state --------------------------------------------------------
@@ -300,6 +301,25 @@ def test_new_level_star_rule_also_preserves_structure(setup4, model):
     _, k1, e1, s1 = state_functionals(new, model)
     assert abs((k1 + e1) - (k0 + e0)) <= 1e-10
     assert s1 >= s0 - 1e-12
+
+
+def test_step_warns_below_split_validity(model):
+    # a uniform state is a fixed point, so theta stays at its initial value
+    mesh = build_uniform(4)
+    spaces = build_spaces(mesh)
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+
+    def uniform(theta):
+        return initial_state(mesh, spaces, model,
+                             lambda x, y: np.full_like(x, 0.3),
+                             lambda x, y: np.full_like(x, theta), zero_velocity)
+
+    with pytest.warns(SplitValidityWarning):
+        new, _ = stepper.step(uniform(model.split_theta_floor))
+    assert new.min_nodal_theta == pytest.approx(model.split_theta_floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SplitValidityWarning)
+        stepper.step(uniform(1.2))
 
 
 def test_nonconvergence_is_wrapped_with_step_context(setup8, model):
