@@ -8,7 +8,7 @@ with 17 significant digits, which round-trips 64-bit floats exactly and
 makes reruns byte-identical.
 
 Exit codes: 0 success, 1 numerical or structure failure, 2 usage or
-configuration errors.
+configuration errors (run and converge: also a model that fails validate).
 """
 
 from __future__ import annotations
@@ -328,6 +328,12 @@ def main(argv=None) -> int:
         return 2
     if args.output is not None:
         out = replace(out, directory=Path(args.output))
+    if args.command != "validate":
+        failing = [c.name for c in validate_model(cfg.model).checks if not c.passed]
+        if failing:
+            print(f"error: the material model fails {', '.join(failing)} "
+                  "(see chnsfem validate)", file=sys.stderr)
+            return 2
 
     handlers = {"validate": cmd_validate, "run": cmd_run,
                 "converge": cmd_converge}

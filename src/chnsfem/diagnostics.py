@@ -2,7 +2,9 @@
 
 Every integral here uses the same quadrature rule as the assembly; mixing
 rules would break the discrete identities at machine precision, since
-their cancellations happen pointwise at the quadrature points.
+their cancellations happen pointwise at the quadrature points.  The rows
+read the fields the stepper keeps for each level, so a run evaluates each
+level once; the functions that take states evaluate them themselves.
 
 The numerical dissipation of a step is evaluated as the residual
 ``<s_new - s_old, 1> - tau * D`` rather than from its mean-value-theorem
@@ -18,7 +20,7 @@ import numpy as np
 
 from .fespace import DEFAULT_QUAD_DEGREE, evaluator
 from .physics import MaterialModel
-from .scheme import STAR_OLD, State, StepperConfig
+from .scheme import STAR_OLD, State, StepperConfig, quadrature_fields
 
 
 class StructureViolationError(RuntimeError):
@@ -53,25 +55,50 @@ class DiagnosticsRecord:
         return self.kinetic + self.internal
 
 
-def _evaluators(state: State, degree: int):
-    spaces = state.spaces()
-    return evaluator(spaces.scalar, degree), evaluator(spaces.velocity, degree)
+def _level_fields(state: State, degree: int) -> dict:
+    return quadrature_fields(
+        evaluator(state.phi.space, degree), evaluator(state.u.space, degree),
+        np.stack([state.phi.coefficients, state.mu.coefficients,
+                  state.theta.coefficients, state.pi.coefficients]),
+        state.u.coefficients)
+
+
+def _entropy(f: dict, w: np.ndarray, model: MaterialModel) -> float:
+    return float(np.sum(w * model.s(f["p"], f["t"], f["px"]**2 + f["py"]**2)))
+
+
+def _functionals(f: dict, w: np.ndarray, model: MaterialModel
+                 ) -> tuple[float, float, float, float]:
+    mass = float(np.sum(w * f["p"]))
+    kinetic = float(np.sum(w * 0.5 * (f["u1"]**2 + f["u2"]**2)))
+    internal = float(np.sum(w * model.e(f["p"], f["t"])))
+    return mass, kinetic, internal, _entropy(f, w, model)
+
+
+def _dissipation(new: dict, old: dict, w: np.ndarray, model: MaterialModel,
+                 star_rule: str) -> float:
+    star = old if star_rule == STAR_OLD else new
+    # midpoint velocity gradient, gum[c, l] = d_l u_c
+    gum = 0.5 * (np.array([[new["u1x"], new["u1y"]], [new["u2x"], new["u2y"]]])
+                 + np.array([[old["u1x"], old["u1y"]], [old["u2x"], old["u2y"]]]))
+    sym = 0.5 * (gum + np.swapaxes(gum, 0, 1))
+    dsq = np.sum(sym**2, axis=(0, 1))
+    viscous = np.sum(w * model.eta(star["p"], star["t"]) * dsq * new["t"])
+
+    gm = np.stack([new["mx"], new["my"]])
+    gt = np.stack([new["tx"], new["ty"]])
+    quad = np.einsum("eq,seq,st,teq->", w, gm, model.L11, gm)
+    quad -= 2.0 * np.einsum("eq,seq,st,teq->", w, gm, model.L12, gt)
+    quad += np.einsum("eq,seq,st,teq->", w, gt, model.L22, gt)
+    return float(viscous + quad)
 
 
 def state_functionals(state: State, model: MaterialModel,
                       quad_degree: int = DEFAULT_QUAD_DEGREE
                       ) -> tuple[float, float, float, float]:
     """(mass, kinetic energy, internal energy, entropy) of one level."""
-    ev1, ev2 = _evaluators(state, quad_degree)
-    w = ev1.weights
-    p, t = ev1.fields(np.stack([state.phi.coefficients,
-                                state.theta.coefficients]))
-    u = ev2.fields(state.u.coefficients)
-    mass = float(np.sum(w * p[0]))
-    kinetic = float(np.sum(w * 0.5 * (u[0, 0]**2 + u[1, 0]**2)))
-    internal = float(np.sum(w * model.e(p[0], t[0])))
-    entropy = float(np.sum(w * model.s(p[0], t[0], p[1]**2 + p[2]**2)))
-    return mass, kinetic, internal, entropy
+    return _functionals(_level_fields(state, quad_degree),
+                        evaluator(state.phi.space, quad_degree).weights, model)
 
 
 def physical_dissipation(new: State, old: State, model: MaterialModel,
@@ -82,61 +109,34 @@ def physical_dissipation(new: State, old: State, model: MaterialModel,
     Nonnegative whenever the mobility matrix is SPD and temperatures stay
     positive.
     """
-    ev1, ev2 = _evaluators(new, cfg.quad_degree)
-    w = ev1.weights
-    star = old if cfg.star_rule == STAR_OLD else new
-    ps, ts, tn, mn = ev1.fields(np.stack([
-        star.phi.coefficients, star.theta.coefficients,
-        new.theta.coefficients, new.mu.coefficients]))
-    # midpoint velocity gradient, gum[c, l] = d_l u_c
-    gu_new, gu_old = ev2.fields(np.stack([new.u.coefficients,
-                                          old.u.coefficients]))[:, :, 1:]
-    gum = 0.5 * (gu_new + gu_old)
-    sym = 0.5 * (gum + np.swapaxes(gum, 0, 1))
-    dsq = np.sum(sym**2, axis=(0, 1))
-    viscous = np.sum(w * model.eta(ps[0], ts[0]) * dsq * tn[0])
-
-    gm, gt = mn[1:], tn[1:]
-    quad = np.einsum("eq,seq,st,teq->", w, gm, model.L11, gm)
-    quad -= 2.0 * np.einsum("eq,seq,st,teq->", w, gm, model.L12, gt)
-    quad += np.einsum("eq,seq,st,teq->", w, gt, model.L22, gt)
-    return float(viscous + quad)
-
-
-def _checked_d_num(s_new: float, s_old: float, tau_diss: float,
-                   step_index: int | None) -> float:
-    value = (s_new - s_old) - tau_diss
-    if value < D_NUM_FLOOR:
-        raise StructureViolationError(
-            f"numerical dissipation {value:.3e} fell below {D_NUM_FLOOR:.0e}",
-            value=value, step_index=step_index)
-    return value
+    d = cfg.quad_degree
+    return _dissipation(_level_fields(new, d), _level_fields(old, d),
+                        evaluator(new.phi.space, d).weights, model, cfg.star_rule)
 
 
 def numerical_dissipation(new: State, old: State, model: MaterialModel,
                           cfg: StepperConfig,
                           step_index: int | None = None) -> float:
     """Extra entropy produced by the time discretization itself."""
-    _, _, _, s_new = state_functionals(new, model, cfg.quad_degree)
-    _, _, _, s_old = state_functionals(old, model, cfg.quad_degree)
-    return _checked_d_num(s_new, s_old,
-                          cfg.tau * physical_dissipation(new, old, model, cfg),
-                          step_index)
+    d = cfg.quad_degree
+    return record(new, _level_fields(new, d), _level_fields(old, d), model,
+                  cfg, step_index).d_num
 
 
-def record(new: State, old: State, model: MaterialModel, cfg: StepperConfig,
-           step_index: int = 0, newton_iters: int = 0,
-           old_entropy: float | None = None) -> DiagnosticsRecord:
-    """Diagnostics row for the step old -> new.
-
-    ``old_entropy``, the entropy of the previous row, saves evaluating it
-    again; it is the same number the previous row computed.
-    """
-    mass, kinetic, internal, entropy = state_functionals(new, model, cfg.quad_degree)
-    if old_entropy is None:
-        _, _, _, old_entropy = state_functionals(old, model, cfg.quad_degree)
-    tau_diss = cfg.tau * physical_dissipation(new, old, model, cfg)
-    d_num = _checked_d_num(entropy, old_entropy, tau_diss, step_index)
+def record(new: State, fields: dict, old_fields: dict, model: MaterialModel,
+           cfg: StepperConfig, step_index: int | None = 0,
+           newton_iters: int = 0) -> DiagnosticsRecord:
+    """Diagnostics row for the step to ``new``, read from the quadrature
+    fields (``scheme.quadrature_fields``) of ``new`` and of the old level."""
+    w = evaluator(new.phi.space, cfg.quad_degree).weights
+    mass, kinetic, internal, entropy = _functionals(fields, w, model)
+    tau_diss = cfg.tau * _dissipation(fields, old_fields, w, model,
+                                      cfg.star_rule)
+    d_num = (entropy - _entropy(old_fields, w, model)) - tau_diss
+    if d_num < D_NUM_FLOOR:
+        raise StructureViolationError(
+            f"numerical dissipation {d_num:.3e} fell below {D_NUM_FLOOR:.0e}",
+            value=d_num, step_index=step_index)
     return DiagnosticsRecord(
         step=step_index, time=new.time, mass=mass, kinetic=kinetic,
         internal=internal, entropy=entropy, tau_dissipation=tau_diss,
@@ -144,10 +144,11 @@ def record(new: State, old: State, model: MaterialModel, cfg: StepperConfig,
         min_theta=new.min_nodal_theta)
 
 
-def initial_record(state: State, model: MaterialModel,
+def initial_record(state: State, fields: dict, model: MaterialModel,
                    cfg: StepperConfig) -> DiagnosticsRecord:
-    """Row for the initial level (no step happened yet)."""
-    mass, kinetic, internal, entropy = state_functionals(state, model, cfg.quad_degree)
+    """Row for the initial level (no step yet), read from its fields."""
+    mass, kinetic, internal, entropy = _functionals(
+        fields, evaluator(state.phi.space, cfg.quad_degree).weights, model)
     return DiagnosticsRecord(
         step=0, time=state.time, mass=mass, kinetic=kinetic,
         internal=internal, entropy=entropy, tau_dissipation=0.0, d_num=0.0,

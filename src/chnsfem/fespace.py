@@ -3,8 +3,8 @@
 Provides degree-of-freedom maps that respect the periodic identification,
 basis tabulation at quadrature points, the per-space evaluator that
 evaluates and assembles through one sparse operator, nodal interpolation,
-point evaluation, exact nested prolongation, quadrature-based norms, and
-the skew-symmetric convection form.
+point evaluation, exact nested prolongation and the skew-symmetric
+convection form.
 
 DOF ordering is deterministic: vertices first (the mesh's lexicographic
 vertex order), then edge midpoints sorted lexicographically by their
@@ -331,7 +331,8 @@ def evaluate(f: FeFunction, points: np.ndarray) -> np.ndarray:
 
 
 def prolong(f: FeFunction, fine_space: FunctionSpace) -> FeFunction:
-    """Exact embedding of a coarse function into the once-refined space."""
+    """Exact embedding of a coarse function into the once-refined space:
+    the coarse function evaluated at the fine interpolation nodes."""
     coarse_space = f.space
     if fine_space.family != coarse_space.family:
         raise ValueError("prolongation requires matching families")
@@ -339,33 +340,8 @@ def prolong(f: FeFunction, fine_space: FunctionSpace) -> FeFunction:
         raise ValueError(
             f"fine mesh must halve the coarse mesh size "
             f"(coarse n={coarse_space.mesh.n}, fine n={fine_space.mesh.n})")
-    nodes = fine_space.node_coords
-    tri, bary = _locate(coarse_space.mesh, nodes)
-    if coarse_space.family in (P1, P1_MEANFREE):
-        basis = _p1_values(bary)
-    else:
-        basis = _p2_values(bary)
-    dofs = coarse_space.element_dof_table[tri]
-    if coarse_space.is_vector:
-        coeffs = np.concatenate([
-            np.sum(basis * f.component(c)[dofs], axis=1) for c in range(2)])
-    else:
-        coeffs = np.sum(basis * f.coefficients[dofs], axis=1)
-    return FeFunction(fine_space, coeffs)
-
-
-def mean_value(f: FeFunction, degree: int = DEFAULT_QUAD_DEGREE) -> float:
-    """Integral of f over the domain (the domain has unit measure)."""
-    if f.space.is_vector:
-        raise ValueError("mean_value expects a scalar function")
-    ev = evaluator(f.space, degree)
-    return float(np.sum(ev.weights * ev.fields(f.coefficients)[0]))
-
-
-def norms(f: FeFunction, degree: int = DEFAULT_QUAD_DEGREE) -> tuple[float, float]:
-    """(L2 norm, H1 seminorm) by quadrature."""
-    l2sq, h1sq = evaluator(f.space, degree).squared_norms(f.coefficients)
-    return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))
+    values = evaluate(f, fine_space.node_coords)
+    return FeFunction(fine_space, values.T.ravel())  # component-blocked
 
 
 def c_skw(u: FeFunction, v: FeFunction, w: FeFunction,

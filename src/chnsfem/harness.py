@@ -130,15 +130,16 @@ def run(cfg: RunConfig) -> RunResult:
     phi0, theta0, u0 = cfg.initial_data
     state = initial_state(mesh, spaces, cfg.model, phi0, theta0, u0,
                           quad_degree=scfg.quad_degree)
+    fields = stepper.fields_from_state(state)
     states = [state]
-    records = [initial_record(state, cfg.model, scfg)]
+    records = [initial_record(state, fields, cfg.model, scfg)]
     stats: list[NewtonStats] = []
     _, n_steps = cfg.resolve_tau()
     for k in range(1, n_steps + 1):
         new, st = stepper.step(states[-1], step_index=k)
-        records.append(record(new, states[-1], cfg.model, scfg,
-                              step_index=k, newton_iters=st.iterations,
-                              old_entropy=records[-1].entropy))
+        old_fields, fields = fields, stepper.fields_from_state(new)
+        records.append(record(new, fields, old_fields, cfg.model, scfg,
+                              step_index=k, newton_iters=st.iterations))
         states.append(new)
         stats.append(st)
     return RunResult(config=cfg, mesh=mesh, spaces=spaces, states=states,

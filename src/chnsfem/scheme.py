@@ -30,6 +30,7 @@ from .fespace import (
     P1,
     P1_MEANFREE,
     P2_VECTOR,
+    Evaluator,
     FeFunction,
     FunctionSpace,
     build_space,
@@ -112,10 +113,6 @@ class State:
     @property
     def min_nodal_theta(self) -> float:
         return float(self.theta.coefficients.min())
-
-    def spaces(self) -> SpaceSet:
-        return SpaceSet(scalar=self.phi.space, velocity=self.u.space,
-                        pressure=self.pi.space)
 
 
 @dataclass(frozen=True)
@@ -231,9 +228,22 @@ def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: f
     }
 
 
+def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
+                      velocity: np.ndarray) -> dict:
+    """The kernels' fields of one level at the quadrature points (keys of
+    ``_CHANNELS``), from the stacked coefficients of phi, mu, theta and pi
+    and the component-blocked velocity coefficients."""
+    s = ev1.fields(scalar)
+    out: dict = {"pi": s[3, 0]}
+    for name, f in zip(("p", "m", "t", "u1", "u2"), (*s[:3], *ev2.fields(velocity))):
+        out[name], out[name + "x"], out[name + "y"] = f
+    return out
+
+
 class Stepper:
     """Assembles and advances the coupled system on one fixed mesh, keeping
-    the LU factor of each step for the next step's chord iteration."""
+    the LU factor of each step for the next step's chord iteration and the
+    new level's quadrature fields for the diagnostics and the next step."""
 
     def __init__(self, mesh: PeriodicTriMesh, spaces: SpaceSet,
                  model: MaterialModel, cfg: StepperConfig):
@@ -282,6 +292,7 @@ class Stepper:
         unit[0] = 1.0
         self.p1_load = self.ev1.integrate(unit)
         self._factor = None
+        self._level = None  # (state, fields) of the last step's new level
 
     # -- packing ---------------------------------------------------------
 
@@ -306,20 +317,23 @@ class Stepper:
             u=FeFunction(self.spaces.velocity, x[off["u1"]:off["u1"] + 2 * n2].copy()),
             pi=FeFunction(self.spaces.pressure, x[off["pi"]:off["pi"] + n1].copy()),
         )
+        # read-only, so the fields kept for a stepped level cannot go stale
+        for f in (state.phi, state.mu, state.theta, state.u, state.pi):
+            f.coefficients.setflags(write=False)
         return state, float(x[self.lam_index])
 
     # -- field evaluation -------------------------------------------------
 
     def fields_from_vector(self, x: np.ndarray) -> dict:
-        off, n2 = self.off, self.n2
-        scalar = self.ev1.fields(x[self._scalar_rows])
-        velocity = self.ev2.fields(x[off["u1"]:off["u1"] + 2 * n2])
-        out: dict = {"pi": scalar[3, 0]}
-        for name, f in zip(("p", "m", "t", "u1", "u2"), (*scalar[:3], *velocity)):
-            out[name], out[name + "x"], out[name + "y"] = f
-        return out
+        u1 = self.off["u1"]
+        return quadrature_fields(self.ev1, self.ev2, x[self._scalar_rows],
+                                 x[u1:u1 + 2 * self.n2])
 
     def fields_from_state(self, state: State) -> dict:
+        """The fields kept for the level the last step returned when
+        ``state`` is that level, else a fresh evaluation."""
+        if self._level is not None and state is self._level[0]:
+            return self._level[1]
         return self.fields_from_vector(self.pack(state))
 
     def _check_positivity(self, theta_at_qp: np.ndarray,
@@ -431,7 +445,7 @@ class Stepper:
             result = newton(F, J, x0, self.cfg.newton,
                             retryable=(PositivityError,), factor=self._factor)
         except (NonconvergenceError, FactorizationError, PositivityError) as exc:
-            self._factor = None
+            self._factor = self._level = None
             norm = getattr(exc, "residual_norm", None)
             raise StepFailure(
                 f"time step at t = {old.time:.6g} failed: {exc}",
@@ -439,12 +453,13 @@ class Stepper:
 
         new_state, lam = self.unpack(result.x, old.time + self.cfg.tau)
         if new_state.min_nodal_theta <= 0.0:
-            self._factor = None
+            self._factor = self._level = None
             raise StepFailure(
                 f"nonpositive nodal inverse temperature "
                 f"{new_state.min_nodal_theta:.3e} after the step",
                 step_index=step_index, residual_norm=result.residual_norm)
         self._factor = result.factor
+        self._level = (new_state, self.fields_from_vector(result.x))
         floor = self.model.split_theta_floor
         if floor is not None and new_state.min_nodal_theta <= floor + 1e-6:
             warnings.warn(

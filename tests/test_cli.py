@@ -101,6 +101,9 @@ def test_bad_value_rejected(tmp_path):
     ("scheme", "star_rule = mid"),
     ("output", "formats = csv, pdf"),
     ("output", "snapshot_stride = -1"),
+    ("model", "mobility = -1"),
+    ("model", "eta_min = -1"),
+    ("model", "gamma = -1"),
 ])
 def test_invalid_value_rejected(tmp_path, capsys, section, line):
     path = write_config(tmp_path, f"[{section}]\n{line}\n")

@@ -10,7 +10,7 @@ from chnsfem.diagnostics import (
     record,
     state_functionals,
 )
-from chnsfem.fespace import evaluator
+from chnsfem.fespace import Evaluator, evaluator
 from chnsfem.mesh import build_uniform
 from chnsfem.physics import default_model
 from chnsfem.scheme import Stepper, StepperConfig, build_spaces, initial_state
@@ -36,18 +36,21 @@ def model():
 
 @pytest.fixture(scope="module")
 def short_run(model):
-    """50 benchmark steps on the n=8 mesh."""
+    """50 benchmark steps on the n=8 mesh, with the quadrature fields of
+    every level."""
     mesh = build_uniform(8)
     spaces = build_spaces(mesh)
     cfg = StepperConfig(tau=1e-3)
     stepper = Stepper(mesh, spaces, model, cfg)
     states = [initial_state(mesh, spaces, model, phi0, theta0, u0)]
+    fields = [stepper.fields_from_state(states[0])]
     stats = []
     for k in range(50):
         new, st = stepper.step(states[-1], k)
         states.append(new)
+        fields.append(stepper.fields_from_state(new))
         stats.append(st)
-    return cfg, states, stats
+    return cfg, states, stats, fields
 
 
 def test_uniform_state_dissipations_vanish(model):
@@ -67,11 +70,10 @@ def test_uniform_state_dissipations_vanish(model):
 def test_quadratic_form_terms_individually_nonnegative(short_run, model):
     # with a zero off-diagonal mobility block both quadratic pieces and the
     # weighted viscous piece are separately nonnegative
-    cfg, states, _ = short_run
+    cfg, states, _, _ = short_run
     new, old = states[1], states[0]
-    spaces = new.spaces()
-    ev1 = evaluator(spaces.scalar, cfg.quad_degree)
-    ev2 = evaluator(spaces.velocity, cfg.quad_degree)
+    ev1 = evaluator(new.phi.space, cfg.quad_degree)
+    ev2 = evaluator(new.u.space, cfg.quad_degree)
     w = ev1.weights
     gm = ev1.fields(new.mu.coefficients)[1:]
     tn, *gt = ev1.fields(new.theta.coefficients)
@@ -94,9 +96,9 @@ def test_quadratic_form_terms_individually_nonnegative(short_run, model):
 def test_first_step_dissipation_decomposition(short_run, model):
     # tau*D must equal <de, theta_new> - <mu_new, dphi> computed by direct
     # quadrature of the compositions
-    cfg, states, _ = short_run
+    cfg, states, _, _ = short_run
     old, new = states[0], states[1]
-    ev1 = evaluator(new.spaces().scalar, cfg.quad_degree)
+    ev1 = evaluator(new.phi.space, cfg.quad_degree)
     w = ev1.weights
     pn, po, tn, to, mn = ev1.fields(np.stack([
         new.phi.coefficients, old.phi.coefficients, new.theta.coefficients,
@@ -109,10 +111,10 @@ def test_first_step_dissipation_decomposition(short_run, model):
 
 
 def test_run_invariants_over_fifty_steps(short_run, model):
-    cfg, states, stats = short_run
-    records = [initial_record(states[0], model, cfg)]
+    cfg, states, stats, fields = short_run
+    records = [initial_record(states[0], fields[0], model, cfg)]
     for k in range(1, len(states)):
-        records.append(record(states[k], states[k - 1], model, cfg,
+        records.append(record(states[k], fields[k], fields[k - 1], model, cfg,
                               step_index=k, newton_iters=stats[k - 1].iterations))
 
     mass = np.array([r.mass for r in records])
@@ -132,17 +134,18 @@ def test_run_invariants_over_fifty_steps(short_run, model):
 def test_gradient_increment_lower_bound(short_run, model):
     # gamma/2 * ||grad(phi_new - phi_old)||^2, the explicitly computable
     # first summand of the numerical dissipation, bounds the recorded d_num
-    cfg, states, _ = short_run
+    cfg, states, _, fields = short_run
     ev1 = evaluator(states[0].phi.space, cfg.quad_degree)
     for k in range(1, 11):
         dphi = states[k].phi.coefficients - states[k - 1].phi.coefficients
         lower = 0.5 * model.gamma * ev1.squared_norms(dphi)[1]
-        d_num = record(states[k], states[k - 1], model, cfg, step_index=k).d_num
+        d_num = record(states[k], fields[k], fields[k - 1], model, cfg,
+                       step_index=k).d_num
         assert lower <= d_num + 1e-10
 
 
 def test_entropy_telescoping(short_run, model):
-    cfg, states, _ = short_run
+    cfg, states, _, _ = short_run
     _, _, _, s_first = state_functionals(states[0], model, cfg.quad_degree)
     _, _, _, s_last = state_functionals(states[-1], model, cfg.quad_degree)
     accumulated = 0.0
@@ -155,7 +158,7 @@ def test_entropy_telescoping(short_run, model):
 def test_reversed_step_violates_structure(short_run, model):
     # swapping the levels of a dissipative step makes the entropy balance
     # negative, which must be reported as a structure violation
-    cfg, states, _ = short_run
+    cfg, states, _, _ = short_run
     with pytest.raises(StructureViolationError) as info:
         numerical_dissipation(states[0], states[1], model, cfg, step_index=1)
     assert info.value.value < 0
@@ -163,8 +166,8 @@ def test_reversed_step_violates_structure(short_run, model):
 
 
 def test_record_fields(short_run, model):
-    cfg, states, stats = short_run
-    rec = record(states[1], states[0], model, cfg, step_index=1,
+    cfg, states, stats, fields = short_run
+    rec = record(states[1], fields[1], fields[0], model, cfg, step_index=1,
                  newton_iters=stats[0].iterations)
     assert isinstance(rec, DiagnosticsRecord)
     assert rec.step == 1
@@ -173,10 +176,20 @@ def test_record_fields(short_run, model):
     assert rec.total_energy == pytest.approx(rec.kinetic + rec.internal)
 
 
-def test_record_reuses_the_previous_rows_entropy(short_run, model):
-    cfg, states, _ = short_run
-    previous = record(states[1], states[0], model, cfg, step_index=1)
-    fresh = record(states[2], states[1], model, cfg, step_index=2)
-    reused = record(states[2], states[1], model, cfg, step_index=2,
-                    old_entropy=previous.entropy)
-    assert reused == fresh
+def test_rows_evaluate_no_fields(short_run, model, monkeypatch):
+    # the rows read the given field dicts, and agree with the functions
+    # that evaluate the states themselves to the last bit
+    cfg, states, _, fields = short_run
+    calls = []
+    fields_of = Evaluator.fields
+    monkeypatch.setattr(Evaluator, "fields",
+                        lambda self, c: calls.append(1) or fields_of(self, c))
+    first = initial_record(states[0], fields[0], model, cfg)
+    rec = record(states[2], fields[2], fields[1], model, cfg, step_index=2)
+    assert calls == []
+    assert (first.mass, first.kinetic, first.internal, first.entropy) \
+        == state_functionals(states[0], model, cfg.quad_degree)
+    assert rec.tau_dissipation == \
+        cfg.tau * physical_dissipation(states[2], states[1], model, cfg)
+    assert rec.d_num == numerical_dissipation(states[2], states[1], model, cfg)
+    assert calls

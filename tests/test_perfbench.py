@@ -1,0 +1,26 @@
+"""The benchmark's hooks into the package stay intact.
+
+``perfbench/unit.py`` wraps functions of the package by name (the
+diagnostics rows, the Stepper's methods, ``la.lu_solve``, ...); a rename
+makes every traced unit fail.  One traced run of the smallest workload
+catches that here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_smoke_run_passes():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "smoke-run", "--seed", "0", "--seconds", "1",
+         "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=180, check=False)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

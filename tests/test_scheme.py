@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from chnsfem._jets import Jet
-from chnsfem.fespace import mean_value
+from chnsfem.fespace import evaluator
 from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
 from chnsfem.mesh import build_uniform
 from chnsfem.physics import SplitValidityWarning, default_model
@@ -40,6 +40,11 @@ def zero_velocity(x, y):
 @pytest.fixture(scope="module")
 def model():
     return default_model()
+
+
+def mean(f):
+    ev = evaluator(f.space)
+    return float(np.sum(ev.weights * ev.fields(f.coefficients)[0]))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +104,7 @@ def test_initial_state_constant_data(model):
 
 def test_initial_state_benchmark_mass(setup8):
     _, _, state = setup8
-    assert abs(mean_value(state.phi) - 0.4) <= 1e-3
+    assert abs(mean(state.phi) - 0.4) <= 1e-3
 
 
 def test_initial_state_rejects_nonpositive_theta(model):
@@ -280,14 +285,48 @@ def test_step_satisfies_constraints(setup8, model):
     stepper = Stepper(state.phi.space.mesh, spaces, model, cfg)
     new, stats = stepper.step(state)
     # mass conservation, mean-free pressure, incompressibility rows
-    assert abs(mean_value(new.phi) - mean_value(state.phi)) <= 1e-11
-    assert abs(mean_value(new.pi)) <= 1e-11
+    assert abs(mean(new.phi) - mean(state.phi)) <= 1e-11
+    assert abs(mean(new.pi)) <= 1e-11
     assert stats.div_residual_max <= 1e-11
     assert abs(stats.lam) <= 1e-10
     # the converged residual meets the Newton tolerance by construction
     old_fields = stepper.fields_from_state(state)
     r = stepper.residual_vector(old_fields, stepper.pack(new, stats.lam))
     assert np.linalg.norm(r) <= 1e-12
+
+
+def test_stepper_keeps_the_fields_of_the_level_it_returned(setup4, model):
+    mesh, spaces, state = setup4
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    new, _ = stepper.step(state)
+    kept = stepper.fields_from_state(new)
+    assert stepper.fields_from_state(new) is kept
+    fresh = stepper.fields_from_vector(stepper.pack(new))
+    assert kept.keys() == fresh.keys()
+    assert all(np.array_equal(kept[k], fresh[k]) for k in kept)
+    # any other state, even an equal copy, is evaluated afresh
+    assert stepper.fields_from_state(dataclasses.replace(new)) is not kept
+    assert stepper.fields_from_state(state) is not stepper.fields_from_state(state)
+    # the next step keeps its own level; a failed step keeps none
+    newer, _ = stepper.step(new)
+    assert stepper.fields_from_state(newer) is not stepper.fields_from_state(new)
+    failing = Stepper(mesh, spaces, model, StepperConfig(
+        tau=1e-3, newton=NewtonSettings(max_iter=1)))
+    failing._level = (new, kept)
+    with pytest.raises(StepFailure):
+        failing.step(new)
+    assert failing.fields_from_state(new) is not kept
+
+
+def test_stepped_state_is_read_only(setup4, model):
+    mesh, spaces, state = setup4
+    new, _ = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3)).step(state)
+    for name in ("phi", "mu", "theta", "u", "pi"):
+        with pytest.raises(ValueError):
+            getattr(new, name).coefficients[0] = 1.0
+    edited = new.theta.copy()
+    edited.coefficients[0] = 1.0
+    assert edited.coefficients[0] == 1.0
 
 
 def test_new_level_star_rule_also_preserves_structure(setup4, model):
