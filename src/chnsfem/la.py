@@ -8,7 +8,9 @@ cuts the fill about 3x against COLAMD with partial pivoting.  Every solve
 is still checked against the unscaled A.  Factorization dominates,
 so Newton first takes chord steps on a factor the caller kept (Kelley,
 Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2) while
-each cuts the exact residual norm CHORD_CONTRACTION-fold; a trial that
+each cuts the exact residual norm CHORD_CONTRACTION-fold; how many it
+takes depends on how close the caller's start is to the root (the time
+stepper extrapolates it from earlier levels).  A trial that
 raises the norm, or whose residual signals "retry with a shorter step" by
 raising a designated exception type, is discarded.  Then each iteration
 factors the exact Jacobian and halves the step while the norm grows or the
@@ -122,7 +124,8 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
 
     ``retryable`` lists exception types that a residual evaluation may
     raise to reject a trial point; the line search then shortens the step.
-    Raises NonconvergenceError when the tolerance is not met within
+    The start ``x0`` is no trial: an exception its residual raises ends the
+    solve.  Raises NonconvergenceError when the tolerance is not met within
     ``settings.max_iter`` iterations and propagates factorization failures.
     """
     x = np.asarray(x0, dtype=float).copy()

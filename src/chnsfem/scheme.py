@@ -137,6 +137,7 @@ class NewtonStats:
     residual_norm: float
     lam: float
     div_residual_max: float
+    extrapolated: bool  # Newton started from the extrapolated guess
 
 
 def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: float):
@@ -243,7 +244,17 @@ def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
 class Stepper:
     """Assembles and advances the coupled system on one fixed mesh, keeping
     the LU factor of each step for the next step's chord iteration and the
-    new level's quadrature fields for the diagnostics and the next step."""
+    new level's quadrature fields for the diagnostics and the next step.
+
+    It also keeps the solution vectors of the last three levels of the run
+    it is stepping, starting with the packed start state.  Each Newton solve
+    starts from their polynomial extrapolation to the new level,
+    3x_n - 3x_{n-1} + x_{n-2} (2x_n - x_{n-1}, then x_n, while fewer levels
+    exist; Hairer, Norsett & Wanner, Solving ODEs I), and from x_n when that
+    guess has a nodal inverse temperature at or below ``theta_floor``.  The
+    history is dropped with the factor after a failed step and restarts
+    whenever ``step`` gets a state other than the one it returned last.
+    """
 
     def __init__(self, mesh: PeriodicTriMesh, spaces: SpaceSet,
                  model: MaterialModel, cfg: StepperConfig):
@@ -293,6 +304,7 @@ class Stepper:
         self.p1_load = self.ev1.integrate(unit)
         self._factor = None
         self._level = None  # (state, fields) of the last step's new level
+        self._history = None  # solution vectors of the last levels, newest last
 
     # -- packing ---------------------------------------------------------
 
@@ -432,7 +444,9 @@ class Stepper:
 
     def step(self, old: State, step_index: int | None = None) -> tuple[State, NewtonStats]:
         old_fields = self.fields_from_state(old)
-        x0 = self.pack(old, 0.0)
+        if self._history is None or old is not self._level[0]:
+            self._history = (self.pack(old, 0.0),)
+        x0, extrapolated = self._start(self._history)
 
         def F(x):
             return self.residual_vector(old_fields, x, step_index)
@@ -445,7 +459,7 @@ class Stepper:
             result = newton(F, J, x0, self.cfg.newton,
                             retryable=(PositivityError,), factor=self._factor)
         except (NonconvergenceError, FactorizationError, PositivityError) as exc:
-            self._factor = self._level = None
+            self._factor = self._level = self._history = None
             norm = getattr(exc, "residual_norm", None)
             raise StepFailure(
                 f"time step at t = {old.time:.6g} failed: {exc}",
@@ -453,13 +467,14 @@ class Stepper:
 
         new_state, lam = self.unpack(result.x, old.time + self.cfg.tau)
         if new_state.min_nodal_theta <= 0.0:
-            self._factor = self._level = None
+            self._factor = self._level = self._history = None
             raise StepFailure(
                 f"nonpositive nodal inverse temperature "
                 f"{new_state.min_nodal_theta:.3e} after the step",
                 step_index=step_index, residual_norm=result.residual_norm)
         self._factor = result.factor
         self._level = (new_state, self.fields_from_vector(result.x))
+        self._history = (*self._history[-2:], result.x)
         floor = self.model.split_theta_floor
         if floor is not None and new_state.min_nodal_theta <= floor + 1e-6:
             warnings.warn(
@@ -473,8 +488,24 @@ class Stepper:
             factorizations=result.factorizations,
             residual_norm=result.residual_norm,
             lam=lam,
-            div_residual_max=float(np.abs(div_rows).max()))
+            div_residual_max=float(np.abs(div_rows).max()),
+            extrapolated=extrapolated)
         return new_state, stats
+
+    def _start(self, history: tuple) -> tuple[np.ndarray, bool]:
+        """Newton's start and whether it is extrapolated.  theta is P1, so
+        a guess whose nodal theta stays above the floor passes the
+        positivity check at every quadrature point."""
+        if len(history) == 1:
+            return history[0], False
+        if len(history) == 2:
+            guess = 2.0 * history[1] - history[0]
+        else:
+            guess = 3.0 * (history[2] - history[1]) + history[0]
+        theta = guess[self.off["theta"]:self.off["theta"] + self.n1]
+        if theta.min() <= self.cfg.theta_floor:
+            return history[-1], False
+        return guess, True
 
 
 # -- module-level operations ------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``perfbench/unit.py`` wraps functions of the package by name (the
 diagnostics rows, the Stepper's methods, ``la.lu_solve``, ...); a rename
-makes every traced unit fail.  One traced run of the smallest workload
-catches that here.
+makes every traced unit fail.  One traced run of each of the two smallest
+workloads, a single run and a two-level study, catches that here.
 """
 
 import json
@@ -14,13 +14,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_smoke_run_passes():
+def traced_smoke(workload: str) -> None:
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "smoke-run", "--seed", "0", "--seconds", "1",
+         "--workload", workload, "--seed", "0", "--seconds", "1",
          "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=180, check=False)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_traced_smoke_run_passes():
+    traced_smoke("smoke-run")
+
+
+def test_traced_smoke_ladder_passes():
+    # the study hooks: convergence_study, inter_level_error and prolong
+    traced_smoke("smoke-ladder")

@@ -269,6 +269,67 @@ def test_reused_factor_gives_the_fresh_factor_solution(setup8, model):
     assert factorizations < 8
 
 
+def test_extrapolated_start_cuts_chord_iterations(setup8, model):
+    # a persistent Stepper, as a run uses it: linear guess from step 2,
+    # quadratic from step 3 (the kept factor serves every step after the first)
+    mesh, spaces, state = setup8
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1.25e-4))
+    stats = []
+    for k in range(1, 13):
+        state, st = stepper.step(state, step_index=k)
+        assert st.residual_norm <= 1e-12
+        stats.append(st)
+    assert [st.extrapolated for st in stats] == [False] + [True] * 11
+    assert np.mean([st.iterations for st in stats[2:]]) <= 2.5
+    assert sum(st.factorizations for st in stats) <= 2
+
+
+def test_guess_below_theta_floor_starts_from_the_old_level(setup8, model):
+    mesh, spaces, state = setup8
+    cfg = StepperConfig(tau=1.25e-4)
+    stepper = Stepper(mesh, spaces, model, cfg)
+    current = state
+    for k in range(1, 4):
+        current, _ = stepper.step(current, step_index=k)
+    # x_{n-1} one above x_n in theta: 3x_n - 3x_{n-1} + x_{n-2} then has
+    # x_{n-2}'s theta minus 3, below the floor at every node
+    x_n = stepper._history[-1]
+    theta = slice(stepper.off["theta"], stepper.off["theta"] + stepper.n1)
+    x_n1 = x_n.copy()
+    x_n1[theta] += 1.0
+    stepper._history = (stepper._history[0], x_n1, x_n)
+    new, stats = stepper.step(current, step_index=4)
+    assert not stats.extrapolated
+    assert stats.residual_norm <= 1e-12
+    fresh, _ = Stepper(mesh, spaces, model, cfg).step(current, step_index=4)
+    for name in ("phi", "mu", "theta", "u", "pi"):
+        diff = np.abs(getattr(new, name).coefficients
+                      - getattr(fresh, name).coefficients).max()
+        assert diff <= 1e-10, name
+
+
+def test_history_restarts_on_another_state_and_after_a_failure(setup4, model):
+    mesh, spaces, state = setup4
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    s1, _ = stepper.step(state)
+    s2, stats = stepper.step(s1)
+    assert stats.extrapolated
+    # an equal copy of the level it returned last starts a new history,
+    # and so does an earlier level
+    _, stats = stepper.step(dataclasses.replace(s2))
+    assert not stats.extrapolated
+    assert len(stepper._history) == 2
+    s2, stats = stepper.step(s1)
+    assert not stats.extrapolated
+    # every nodal theta is below this floor, so the start residual fails
+    failing = Stepper(mesh, spaces, model,
+                      StepperConfig(tau=1e-3, theta_floor=2.0))
+    failing._level, failing._history = stepper._level, stepper._history
+    with pytest.raises(StepFailure):
+        failing.step(s2)
+    assert failing._history is None and failing._level is None
+
+
 def test_one_step_conserves_total_energy(setup8, model):
     from chnsfem.diagnostics import state_functionals
 
