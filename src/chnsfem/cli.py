@@ -239,8 +239,7 @@ def write_eoc_tables(outdir: Path, table: ErrorTable):
     for i, row in enumerate(table.rows):
         cells = [str(row.level)]
         for name, attr in TABLE_COLUMNS:
-            value = row.combined if attr == "combined" else getattr(row, attr)
-            cells.append(_fmt(value))
+            cells.append(_fmt(getattr(row, attr)))
             cells.append("" if i == 0 else _fmt(orders[attr][i - 1]))
         for _, attr in EXTRA_COLUMNS:
             cells.append(_fmt(getattr(row, attr)))

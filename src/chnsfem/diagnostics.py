@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import DEFAULT_QUAD_DEGREE, evaluator
+from .fespace import evaluator
 from .physics import MaterialModel
 from .scheme import STAR_OLD, State, StepperConfig, quadrature_fields
 
@@ -55,9 +55,9 @@ class DiagnosticsRecord:
         return self.kinetic + self.internal
 
 
-def _level_fields(state: State, degree: int) -> dict:
+def _level_fields(state: State) -> dict:
     return quadrature_fields(
-        evaluator(state.phi.space, degree), evaluator(state.u.space, degree),
+        evaluator(state.phi.space), evaluator(state.u.space),
         np.stack([state.phi.coefficients, state.mu.coefficients,
                   state.theta.coefficients, state.pi.coefficients]),
         state.u.coefficients)
@@ -93,12 +93,11 @@ def _dissipation(new: dict, old: dict, w: np.ndarray, model: MaterialModel,
     return float(viscous + quad)
 
 
-def state_functionals(state: State, model: MaterialModel,
-                      quad_degree: int = DEFAULT_QUAD_DEGREE
+def state_functionals(state: State, model: MaterialModel
                       ) -> tuple[float, float, float, float]:
     """(mass, kinetic energy, internal energy, entropy) of one level."""
-    return _functionals(_level_fields(state, quad_degree),
-                        evaluator(state.phi.space, quad_degree).weights, model)
+    return _functionals(_level_fields(state),
+                        evaluator(state.phi.space).weights, model)
 
 
 def physical_dissipation(new: State, old: State, model: MaterialModel,
@@ -109,17 +108,15 @@ def physical_dissipation(new: State, old: State, model: MaterialModel,
     Nonnegative whenever the mobility matrix is SPD and temperatures stay
     positive.
     """
-    d = cfg.quad_degree
-    return _dissipation(_level_fields(new, d), _level_fields(old, d),
-                        evaluator(new.phi.space, d).weights, model, cfg.star_rule)
+    return _dissipation(_level_fields(new), _level_fields(old),
+                        evaluator(new.phi.space).weights, model, cfg.star_rule)
 
 
 def numerical_dissipation(new: State, old: State, model: MaterialModel,
                           cfg: StepperConfig,
                           step_index: int | None = None) -> float:
     """Extra entropy produced by the time discretization itself."""
-    d = cfg.quad_degree
-    return record(new, _level_fields(new, d), _level_fields(old, d), model,
+    return record(new, _level_fields(new), _level_fields(old), model,
                   cfg, step_index).d_num
 
 
@@ -128,7 +125,7 @@ def record(new: State, fields: dict, old_fields: dict, model: MaterialModel,
            newton_iters: int = 0) -> DiagnosticsRecord:
     """Diagnostics row for the step to ``new``, read from the quadrature
     fields (``scheme.quadrature_fields``) of ``new`` and of the old level."""
-    w = evaluator(new.phi.space, cfg.quad_degree).weights
+    w = evaluator(new.phi.space).weights
     mass, kinetic, internal, entropy = _functionals(fields, w, model)
     tau_diss = cfg.tau * _dissipation(fields, old_fields, w, model,
                                       cfg.star_rule)
@@ -148,7 +145,7 @@ def initial_record(state: State, fields: dict, model: MaterialModel,
                    cfg: StepperConfig) -> DiagnosticsRecord:
     """Row for the initial level (no step yet), read from its fields."""
     mass, kinetic, internal, entropy = _functionals(
-        fields, evaluator(state.phi.space, cfg.quad_degree).weights, model)
+        fields, evaluator(state.phi.space).weights, model)
     return DiagnosticsRecord(
         step=0, time=state.time, mass=mass, kinetic=kinetic,
         internal=internal, entropy=entropy, tau_dissipation=0.0, d_num=0.0,

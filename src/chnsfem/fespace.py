@@ -15,7 +15,7 @@ DOF ``k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,8 +29,9 @@ P2_VECTOR = "P2-vector-2D"
 
 _FAMILIES = (P1, P1_MEANFREE, P2, P2_VECTOR)
 
-#: quadrature degree shared by norms, the trilinear form and assembly
-DEFAULT_QUAD_DEGREE = 6
+#: degree of the one rule that assembly, diagnostics, norms and the
+#: trilinear form share
+QUAD_DEGREE = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,29 +200,28 @@ def tabulate(space: FunctionSpace, rule: QuadRule) -> Tabulation:
 class Evaluator:
     """The tabulation of one space under one rule and its sparse operator.
 
-    ``E`` (CSR, ``3*ne*nq`` by ``scalar_dof_count``) maps scalar DOF
-    coefficients to the value, the x-derivative and the y-derivative at
-    every quadrature point; row ``(k*ne + e)*nq + q`` holds part ``k`` at
-    point ``q`` of triangle ``e``.  ``E @ c`` evaluates a field and ``E.T``
-    assembles against the test functions, so assembly, diagnostics and
-    error norms all use literally the same rule.  ``tab.grads`` is a view
-    of the operator's entries.
+    ``basis[k, e, q, b]`` is part ``k`` (value, x- or y-derivative) of
+    local basis function ``b`` at point ``q`` of triangle ``e``.  It is the
+    entry array of ``E`` (CSR, ``3*ne*nq`` by ``scalar_dof_count``), whose
+    row ``(k*ne + e)*nq + q`` maps scalar DOF coefficients to part ``k`` of
+    the field at that point.  ``E @ c`` evaluates a field, ``E.T`` assembles
+    against the test functions and ``basis`` assembles matrices, so every
+    integral in assembly, diagnostics and error norms uses the same rule.
     """
 
     def __init__(self, space: FunctionSpace, rule: QuadRule):
         tab = tabulate(space, rule)
         ne, nq, nb, _ = tab.grads.shape
-        data = np.empty((3, ne, nq, nb))
-        data[0] = tab.N
-        data[1:] = np.moveaxis(tab.grads, -1, 0)
-        self.tab = replace(tab, grads=np.moveaxis(data[1:], 0, -1))
+        self.basis = np.empty((3, ne, nq, nb))
+        self.basis[0] = tab.N
+        self.basis[1:] = np.moveaxis(tab.grads, -1, 0)
         self.weights = tab.weights
         self.shape = (3, ne, nq)
         self.num_components = space.num_components
         dofs = space.element_dof_table
-        indices = np.broadcast_to(dofs[None, :, None, :], data.shape)
-        indptr = np.arange(0, data.size + 1, nb, dtype=np.int32)
-        self.E = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+        indices = np.broadcast_to(dofs[None, :, None, :], self.basis.shape)
+        indptr = np.arange(0, self.basis.size + 1, nb, dtype=np.int32)
+        self.E = sp.csr_matrix((self.basis.ravel(), indices.ravel(), indptr),
                                shape=(3 * ne * nq, space.scalar_dof_count))
         self.Et = self.E.T  # a CSC view sharing E's arrays
 
@@ -255,13 +255,12 @@ class Evaluator:
                 float(np.sum(self.weights * sq[..., 1:, :, :])))
 
 
-def evaluator(space: FunctionSpace,
-              degree: int = DEFAULT_QUAD_DEGREE) -> Evaluator:
-    """The space's evaluator for the degree-``degree`` rule, built on first
+def evaluator(space: FunctionSpace) -> Evaluator:
+    """The space's evaluator for the degree-QUAD_DEGREE rule, built on first
     use and shared by every later caller."""
-    ev = space.evaluators.get(degree)
+    ev = space.evaluators.get(QUAD_DEGREE)
     if ev is None:
-        ev = space.evaluators[degree] = Evaluator(space, quad_rule(degree))
+        ev = space.evaluators[QUAD_DEGREE] = Evaluator(space, quad_rule(QUAD_DEGREE))
     return ev
 
 
@@ -344,8 +343,7 @@ def prolong(f: FeFunction, fine_space: FunctionSpace) -> FeFunction:
     return FeFunction(fine_space, values.T.ravel())  # component-blocked
 
 
-def c_skw(u: FeFunction, v: FeFunction, w: FeFunction,
-          degree: int = DEFAULT_QUAD_DEGREE) -> float:
+def c_skw(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
     """Skew-symmetric convection form 0.5*c(u,v,w) - 0.5*c(u,w,v).
 
     ``c(u,v,w)`` integrates ``((u . grad) v) . w``.  The combination
@@ -356,7 +354,7 @@ def c_skw(u: FeFunction, v: FeFunction, w: FeFunction,
             raise ValueError("c_skw requires all arguments from the same space")
     if not u.space.is_vector:
         raise ValueError("c_skw is defined for vector functions")
-    ev = evaluator(u.space, degree)
+    ev = evaluator(u.space)
     uf, vf, wf = (ev.fields(g.coefficients) for g in (u, v, w))
     adv_v = np.einsum("leq,cleq->ceq", uf[:, 0], vf[:, 1:])
     adv_w = np.einsum("leq,cleq->ceq", uf[:, 0], wf[:, 1:])

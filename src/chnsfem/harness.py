@@ -128,8 +128,7 @@ def run(cfg: RunConfig) -> RunResult:
     scfg = cfg.stepper_config()
     stepper = Stepper(mesh, spaces, cfg.model, scfg)
     phi0, theta0, u0 = cfg.initial_data
-    state = initial_state(mesh, spaces, cfg.model, phi0, theta0, u0,
-                          quad_degree=scfg.quad_degree)
+    state = initial_state(mesh, spaces, cfg.model, phi0, theta0, u0)
     fields = stepper.fields_from_state(state)
     states = [state]
     records = [initial_record(state, fields, cfg.model, scfg)]
@@ -182,9 +181,8 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
         raise ValueError("fine run must refine the coarse run once in time")
     tau_c = coarse.tau
     # the fine run's evaluators: the norms use the rule of its assembly
-    degree = coarse.config.stepper_config().quad_degree
-    ev1 = evaluator(fine.spaces.scalar, degree)
-    ev2 = evaluator(fine.spaces.velocity, degree)
+    ev1 = evaluator(fine.spaces.scalar)
+    ev2 = evaluator(fine.spaces.velocity)
     n_intervals = len(coarse.states) - 1
 
     linf_h1_phi = 0.0
@@ -243,8 +241,7 @@ class ErrorTable:
     rows: list[ErrorRow]
 
     def column(self, name: str) -> list[float]:
-        return [getattr(r, name) if name != "combined" else r.combined
-                for r in self.rows]
+        return [getattr(r, name) for r in self.rows]
 
     def eoc_column(self, name: str) -> list[float]:
         if len(self.rows) < 2:
@@ -295,8 +292,7 @@ def format_error_table(table: ErrorTable) -> str:
     for i, row in enumerate(table.rows):
         cells = [f"{row.level}".rjust(4)]
         for name, attr in TABLE_COLUMNS:
-            value = row.combined if attr == "combined" else getattr(row, attr)
-            cells.append(f"{value:.3e}".rjust(14))
+            cells.append(f"{getattr(row, attr):.3e}".rjust(14))
             if i == 0:
                 cells.append("---".rjust(6))
             else:

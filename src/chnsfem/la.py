@@ -13,8 +13,11 @@ takes depends on how close the caller's start is to the root (the time
 stepper extrapolates it from earlier levels).  A trial that
 raises the norm, or whose residual signals "retry with a shorter step" by
 raising a designated exception type, is discarded.  Then each iteration
-factors the exact Jacobian and halves the step while the norm grows or the
-retry signal comes, which handles positivity-constrained nonlinearities.
+factors the exact Jacobian and halves the step until a step of size s
+lowers the norm to at most (1 - ARMIJO * s) times its old value without the
+retry signal (Armijo's rule), which handles positivity-constrained
+nonlinearities.  When MAX_HALVINGS halvings find no such step, the norm sits
+at its roundoff floor, and Newton stops instead of refactoring.
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ DIAG_PIVOT_THRESH = 1e-3
 #: a chord step must cut the residual norm by this factor to keep the factor
 CHORD_CONTRACTION = 5.0
 
-#: step halvings a Newton iteration may take before it accepts its trial
+#: step halvings a Newton iteration may take to find a sufficient decrease
 MAX_HALVINGS = 8
+
+#: a Newton step of size s must lower the residual norm by ARMIJO * s of it
+ARMIJO = 1e-4
 
 
 class FactorizationError(RuntimeError):
@@ -48,7 +54,7 @@ class FactorizationError(RuntimeError):
 
 
 class NonconvergenceError(RuntimeError):
-    """Newton exhausted its iteration budget."""
+    """Newton exhausted its iteration budget or its line search."""
 
     def __init__(self, message: str, residual_norm: float, iterations: int):
         super().__init__(message)
@@ -126,7 +132,8 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
     raise to reject a trial point; the line search then shortens the step.
     The start ``x0`` is no trial: an exception its residual raises ends the
     solve.  Raises NonconvergenceError when the tolerance is not met within
-    ``settings.max_iter`` iterations and propagates factorization failures.
+    ``settings.max_iter`` iterations or a Newton step's line search finds no
+    sufficient decrease, and propagates factorization failures.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
@@ -161,11 +168,15 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                     scale *= 0.5
                     continue
                 rnorm_trial = float(np.linalg.norm(r_trial))
-                if rnorm_trial > rnorm and halving < MAX_HALVINGS:
-                    scale *= 0.5
-                    continue
-                accepted = (trial, r_trial, rnorm_trial)
-                break
+                if rnorm_trial <= (1.0 - ARMIJO * scale) * rnorm:
+                    accepted = (trial, r_trial, rnorm_trial)
+                    break
+                scale *= 0.5
+            else:
+                raise NonconvergenceError(
+                    f"Newton stalled at residual norm {rnorm:.3e} above tolerance "
+                    f"{settings.tol:.3e}: {MAX_HALVINGS} step halvings found no decrease",
+                    residual_norm=rnorm, iterations=it)
         x, r, rnorm = accepted
         it += 1
     if rnorm <= settings.tol:

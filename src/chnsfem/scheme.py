@@ -26,7 +26,6 @@ import scipy.sparse as sp
 
 from ._jets import Jet, derivative_of
 from .fespace import (
-    DEFAULT_QUAD_DEGREE,
     P1,
     P1_MEANFREE,
     P2_VECTOR,
@@ -55,15 +54,9 @@ _CHANNELS = ("p", "px", "py", "m", "mx", "my", "t", "tx", "ty",
              "u1", "u1x", "u1y", "u2", "u2x", "u2y", "pi")
 _NCH = len(_CHANNELS)
 
-# channel -> (trial field, basis part)
-_TRIAL_OF_CHANNEL = [
-    ("phi", "val"), ("phi", "gx"), ("phi", "gy"),
-    ("mu", "val"), ("mu", "gx"), ("mu", "gy"),
-    ("theta", "val"), ("theta", "gx"), ("theta", "gy"),
-    ("u1", "val"), ("u1", "gx"), ("u1", "gy"),
-    ("u2", "val"), ("u2", "gx"), ("u2", "gy"),
-    ("pi", "val"),
-]
+# channel -> (trial field, basis part: 0 value, 1 d/dx, 2 d/dy)
+_TRIAL_OF_CHANNEL = [(name, part) for name in ("phi", "mu", "theta", "u1", "u2")
+                     for part in range(3)] + [("pi", 0)]
 
 
 class PositivityError(RuntimeError):
@@ -110,6 +103,11 @@ class State:
     u: FeFunction
     pi: FeFunction
 
+    def __post_init__(self):
+        # read-only, so the fields a Stepper keeps for a level cannot go stale
+        for f in (self.phi, self.mu, self.theta, self.u, self.pi):
+            f.coefficients.setflags(write=False)
+
     @property
     def min_nodal_theta(self) -> float:
         return float(self.theta.coefficients.min())
@@ -121,7 +119,6 @@ class StepperConfig:
     star_rule: str = STAR_OLD
     newton: NewtonSettings = field(default_factory=NewtonSettings)
     theta_floor: float = 1e-8
-    quad_degree: int = DEFAULT_QUAD_DEGREE
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -145,9 +142,10 @@ def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: f
 
     Each scalar-test equation yields (S, Vx, Vy) with residual entries
     sum_q w * (S * N_i + Vx * dN_i/dx + Vy * dN_i/dy); the two momentum
-    components play the same role against the vector basis.  ``new`` may
-    hold jets, in which case every density carries its exact pointwise
-    linearization.
+    components play the same role against the vector basis.  The equations
+    come in the order of the unknowns whose test functions they are tested
+    with (phi, mu, theta, u1, u2, pi).  ``new`` may hold jets, in which case
+    every density carries its exact pointwise linearization.
     """
     g = model.gamma
     L11, L12, L22 = model.L11, model.L12, model.L22
@@ -244,7 +242,9 @@ def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
 class Stepper:
     """Assembles and advances the coupled system on one fixed mesh, keeping
     the LU factor of each step for the next step's chord iteration and the
-    new level's quadrature fields for the diagnostics and the next step.
+    current level's quadrature fields for the diagnostics and the next step.
+    The current level is the one the last step returned, or the start state
+    whose fields were asked for, so a run evaluates every level once.
 
     It also keeps the solution vectors of the last three levels of the run
     it is stepping, starting with the packed start state.  Each Newton solve
@@ -253,7 +253,7 @@ class Stepper:
     exist; Hairer, Norsett & Wanner, Solving ODEs I), and from x_n when that
     guess has a nodal inverse temperature at or below ``theta_floor``.  The
     history is dropped with the factor after a failed step and restarts
-    whenever ``step`` gets a state other than the one it returned last.
+    whenever the stepper gets a state other than its current level.
     """
 
     def __init__(self, mesh: PeriodicTriMesh, spaces: SpaceSet,
@@ -262,10 +262,8 @@ class Stepper:
         self.spaces = spaces
         self.model = model
         self.cfg = cfg
-        self.ev1 = evaluator(spaces.scalar, cfg.quad_degree)
-        self.ev2 = evaluator(spaces.velocity, cfg.quad_degree)
-        self.tab1 = self.ev1.tab
-        self.tab2 = self.ev2.tab
+        self.ev1 = evaluator(spaces.scalar)
+        self.ev2 = evaluator(spaces.velocity)
         self.w = self.ev1.weights
         self.n1 = spaces.scalar.dof_count
         self.n2 = spaces.velocity.scalar_dof_count
@@ -279,32 +277,21 @@ class Stepper:
         self._scalar_rows = np.r_[0:3 * n1,
                                   self.off["pi"]:self.lam_index].reshape(4, n1)
 
-        d1 = spaces.scalar.element_dof_table
-        d2 = spaces.velocity.element_dof_table
-        self._test_map = {
-            "phase": (self.tab1, d1, self.off["phi"]),
-            "pot": (self.tab1, d1, self.off["mu"]),
-            "energy": (self.tab1, d1, self.off["theta"]),
-            "mom1": (self.tab2, d2, self.off["u1"]),
-            "mom2": (self.tab2, d2, self.off["u2"]),
-            "div": (self.tab1, d1, self.off["pi"]),
-        }
-        self._trial_map = {
-            "phi": (self.tab1, d1, self.off["phi"]),
-            "mu": (self.tab1, d1, self.off["mu"]),
-            "theta": (self.tab1, d1, self.off["theta"]),
-            "u1": (self.tab2, d2, self.off["u1"]),
-            "u2": (self.tab2, d2, self.off["u2"]),
-            "pi": (self.tab1, d1, self.off["pi"]),
-        }
+        # field -> (basis, its unknowns per element); each equation tests
+        # the field in its own slot of x, so this serves rows and columns
+        scalar = (self.ev1.basis, spaces.scalar.element_dof_table)
+        vector = (self.ev2.basis, spaces.velocity.element_dof_table)
+        self._local = {name: (basis, self.off[name] + dofs)
+                       for name, (basis, dofs) in zip(
+                           self.off, (scalar, scalar, scalar, vector, vector, scalar))}
         # integrals of the scalar test functions, used by the multiplier
         # column and the pressure-mean row
         unit = np.zeros(self.ev1.shape)
         unit[0] = 1.0
         self.p1_load = self.ev1.integrate(unit)
         self._factor = None
-        self._level = None  # (state, fields) of the last step's new level
-        self._history = None  # solution vectors of the last levels, newest last
+        self._level = None  # (state, fields) of the current level
+        self._history = None  # solution vectors up to the current level
 
     # -- packing ---------------------------------------------------------
 
@@ -321,18 +308,14 @@ class Stepper:
 
     def unpack(self, x: np.ndarray, time: float) -> tuple[State, float]:
         off, n1, n2 = self.off, self.n1, self.n2
-        state = State(
+        return State(
             time=time,
             phi=FeFunction(self.spaces.scalar, x[off["phi"]:off["phi"] + n1].copy()),
             mu=FeFunction(self.spaces.scalar, x[off["mu"]:off["mu"] + n1].copy()),
             theta=FeFunction(self.spaces.scalar, x[off["theta"]:off["theta"] + n1].copy()),
             u=FeFunction(self.spaces.velocity, x[off["u1"]:off["u1"] + 2 * n2].copy()),
             pi=FeFunction(self.spaces.pressure, x[off["pi"]:off["pi"] + n1].copy()),
-        )
-        # read-only, so the fields kept for a stepped level cannot go stale
-        for f in (state.phi, state.mu, state.theta, state.u, state.pi):
-            f.coefficients.setflags(write=False)
-        return state, float(x[self.lam_index])
+        ), float(x[self.lam_index])
 
     # -- field evaluation -------------------------------------------------
 
@@ -342,11 +325,14 @@ class Stepper:
                                  x[u1:u1 + 2 * self.n2])
 
     def fields_from_state(self, state: State) -> dict:
-        """The fields kept for the level the last step returned when
-        ``state`` is that level, else a fresh evaluation."""
-        if self._level is not None and state is self._level[0]:
-            return self._level[1]
-        return self.fields_from_vector(self.pack(state))
+        """The fields of ``state``, kept for the current level: the level
+        the last step returned or the state this was last called with.  Any
+        other state is evaluated afresh, becomes the current level and
+        restarts the history."""
+        if self._history is None or state is not self._level[0]:
+            x = self.pack(state)
+            self._level, self._history = (state, self.fields_from_vector(x)), (x,)
+        return self._level[1]
 
     def _check_positivity(self, theta_at_qp: np.ndarray,
                           step_index: int | None = None):
@@ -391,38 +377,20 @@ class Stepper:
         kern = _kernels(jets, old_fields, star, lam, self.model, self.cfg.tau)
 
         rows_list, cols_list, vals_list = [], [], []
-        w = self.w
-        for eq, (test_tab, test_dofs, row_off) in self._test_map.items():
-            s, vx, vy = kern[eq]
-            ds = derivative_of(s)
-            dvx = derivative_of(vx) if vx is not None else None
-            dvy = derivative_of(vy) if vy is not None else None
-            for ch in range(_NCH):
-                parts = []
-                if ds is not None and np.any(ds[..., ch]):
-                    parts.append((w * ds[..., ch])[..., None] * test_tab.N)
-                if dvx is not None and np.any(dvx[..., ch]):
-                    parts.append((w * dvx[..., ch])[..., None] * test_tab.grads[..., 0])
-                if dvy is not None and np.any(dvy[..., ch]):
-                    parts.append((w * dvy[..., ch])[..., None] * test_tab.grads[..., 1])
-                if not parts:
+        for densities, (test, rows) in zip(kern.values(), self._local.values()):
+            ders = [derivative_of(d) for d in densities]
+            for ch, (trial_field, part) in enumerate(_TRIAL_OF_CHANNEL):
+                rowpart = None  # sum_k w * d(density k)/d(channel) * test[k]
+                for k, der in enumerate(ders):
+                    if der is not None and np.any(der[..., ch]):
+                        term = (self.w * der[..., ch])[..., None] * test[k]
+                        rowpart = term if rowpart is None else rowpart + term
+                if rowpart is None:
                     continue
-                rowpart = parts[0]
-                for extra in parts[1:]:
-                    rowpart = rowpart + extra
-                trial_field, kind = _TRIAL_OF_CHANNEL[ch]
-                trial_tab, trial_dofs, col_off = self._trial_map[trial_field]
-                if kind == "val":
-                    block = np.einsum("eqa,qb->eab", rowpart, trial_tab.N)
-                elif kind == "gx":
-                    block = np.einsum("eqa,eqb->eab", rowpart, trial_tab.grads[..., 0])
-                else:
-                    block = np.einsum("eqa,eqb->eab", rowpart, trial_tab.grads[..., 1])
-                ne, na, nb = block.shape
-                rows = np.broadcast_to((row_off + test_dofs)[:, :, None], (ne, na, nb))
-                cols = np.broadcast_to((col_off + trial_dofs)[:, None, :], (ne, na, nb))
-                rows_list.append(rows.ravel())
-                cols_list.append(cols.ravel())
+                trial, cols = self._local[trial_field]
+                block = np.einsum("eqa,eqb->eab", rowpart, trial[part])
+                rows_list.append(np.broadcast_to(rows[:, :, None], block.shape).ravel())
+                cols_list.append(np.broadcast_to(cols[:, None, :], block.shape).ravel())
                 vals_list.append(block.ravel())
 
         # multiplier column of the divergence rows and the pressure-mean row
@@ -444,8 +412,6 @@ class Stepper:
 
     def step(self, old: State, step_index: int | None = None) -> tuple[State, NewtonStats]:
         old_fields = self.fields_from_state(old)
-        if self._history is None or old is not self._level[0]:
-            self._history = (self.pack(old, 0.0),)
         x0, extrapolated = self._start(self._history)
 
         def F(x):
@@ -512,7 +478,7 @@ class Stepper:
 
 
 def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
-                  phi0, theta0, u0, quad_degree: int = DEFAULT_QUAD_DEGREE) -> State:
+                  phi0, theta0, u0) -> State:
     """Interpolate the initial data and project the chemical potential.
 
     The initial chemical potential solves the mass-matrix system
@@ -527,15 +493,13 @@ def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
             f"(min {theta.coefficients.min():.3e})")
     u = interpolate(spaces.velocity, u0)
 
-    ev = evaluator(spaces.scalar, quad_degree)
-    w, N = ev.weights, ev.tab.N
+    ev = evaluator(spaces.scalar)
     dofs = spaces.scalar.element_dof_table
     n1 = spaces.scalar.dof_count
 
-    local_mass = np.einsum("eq,qa,qb->eab", w, N, N)
-    ne, na, _ = local_mass.shape
-    rows = np.broadcast_to(dofs[:, :, None], (ne, na, na))
-    cols = np.broadcast_to(dofs[:, None, :], (ne, na, na))
+    local_mass = np.einsum("eq,eqa,eqb->eab", ev.weights, ev.basis[0], ev.basis[0])
+    rows = np.broadcast_to(dofs[:, :, None], local_mass.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local_mass.shape)
     mass = sp.coo_matrix((local_mass.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(n1, n1)).tocsc()
 

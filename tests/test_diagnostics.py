@@ -72,8 +72,8 @@ def test_quadratic_form_terms_individually_nonnegative(short_run, model):
     # weighted viscous piece are separately nonnegative
     cfg, states, _, _ = short_run
     new, old = states[1], states[0]
-    ev1 = evaluator(new.phi.space, cfg.quad_degree)
-    ev2 = evaluator(new.u.space, cfg.quad_degree)
+    ev1 = evaluator(new.phi.space)
+    ev2 = evaluator(new.u.space)
     w = ev1.weights
     gm = ev1.fields(new.mu.coefficients)[1:]
     tn, *gt = ev1.fields(new.theta.coefficients)
@@ -98,7 +98,7 @@ def test_first_step_dissipation_decomposition(short_run, model):
     # quadrature of the compositions
     cfg, states, _, _ = short_run
     old, new = states[0], states[1]
-    ev1 = evaluator(new.phi.space, cfg.quad_degree)
+    ev1 = evaluator(new.phi.space)
     w = ev1.weights
     pn, po, tn, to, mn = ev1.fields(np.stack([
         new.phi.coefficients, old.phi.coefficients, new.theta.coefficients,
@@ -135,7 +135,7 @@ def test_gradient_increment_lower_bound(short_run, model):
     # gamma/2 * ||grad(phi_new - phi_old)||^2, the explicitly computable
     # first summand of the numerical dissipation, bounds the recorded d_num
     cfg, states, _, fields = short_run
-    ev1 = evaluator(states[0].phi.space, cfg.quad_degree)
+    ev1 = evaluator(states[0].phi.space)
     for k in range(1, 11):
         dphi = states[k].phi.coefficients - states[k - 1].phi.coefficients
         lower = 0.5 * model.gamma * ev1.squared_norms(dphi)[1]
@@ -146,8 +146,8 @@ def test_gradient_increment_lower_bound(short_run, model):
 
 def test_entropy_telescoping(short_run, model):
     cfg, states, _, _ = short_run
-    _, _, _, s_first = state_functionals(states[0], model, cfg.quad_degree)
-    _, _, _, s_last = state_functionals(states[-1], model, cfg.quad_degree)
+    _, _, _, s_first = state_functionals(states[0], model)
+    _, _, _, s_last = state_functionals(states[-1], model)
     accumulated = 0.0
     for k in range(1, len(states)):
         accumulated += cfg.tau * physical_dissipation(states[k], states[k - 1], model, cfg)
@@ -188,7 +188,7 @@ def test_rows_evaluate_no_fields(short_run, model, monkeypatch):
     rec = record(states[2], fields[2], fields[1], model, cfg, step_index=2)
     assert calls == []
     assert (first.mass, first.kinetic, first.internal, first.entropy) \
-        == state_functionals(states[0], model, cfg.quad_degree)
+        == state_functionals(states[0], model)
     assert rec.tau_dissipation == \
         cfg.tau * physical_dissipation(states[2], states[1], model, cfg)
     assert rec.d_num == numerical_dissipation(states[2], states[1], model, cfg)

@@ -6,6 +6,8 @@ from chnsfem.fespace import (
     P1_MEANFREE,
     P2,
     P2_VECTOR,
+    QUAD_DEGREE,
+    Evaluator,
     FeFunction,
     build_space,
     c_skw,
@@ -103,11 +105,12 @@ def test_interpolated_gradient_converges_at_second_order():
     for n in (4, 8, 16):
         space = build_space(build_uniform(n), P2)
         f = interpolate(space, lambda x, y: np.sin(2 * np.pi * x))
-        ev = evaluator(space, 8)
+        rule = quad_rule(8)
+        ev = Evaluator(space, rule)
         _, gx, gy = ev.fields(f.coefficients)
         # physical coordinates of the quadrature points
         corners = space.mesh.tri_coords
-        pts = np.einsum("qb,ebs->eqs", ev.tab.rule.points, corners)
+        pts = np.einsum("qb,ebs->eqs", rule.points, corners)
         exact = 2 * np.pi * np.cos(2 * np.pi * pts[..., 0])
         err2 = np.sum(ev.weights * ((gx - exact) ** 2 + gy ** 2))
         errs.append(np.sqrt(err2))
@@ -272,7 +275,11 @@ def test_evaluator_operator_matches_tabulation(family):
     assert np.abs(integrated - np.tile(scatter, space.num_components)).max() <= 1e-13
 
 
-def test_evaluator_is_built_once_per_space_and_degree():
+def test_evaluator_is_built_once_per_space():
     space = build_space(build_uniform(4), P1)
-    assert evaluator(space) is evaluator(space, 6)
-    assert evaluator(space, 4) is not evaluator(space)
+    ev = evaluator(space)
+    assert evaluator(space) is ev
+    assert evaluator(build_space(space.mesh, P1)) is not ev
+    assert ev.weights.shape[1] == len(quad_rule(QUAD_DEGREE).weights)
+    # the basis array is the operator's entry array, not a copy
+    assert np.shares_memory(ev.basis, ev.E.data)

@@ -18,7 +18,7 @@ from chnsfem.harness import (
     inter_level_error,
     run,
 )
-from chnsfem.scheme import State
+from chnsfem.scheme import State, Stepper
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +201,27 @@ def test_run_tabulates_each_space_at_most_once(monkeypatch):
     result = run(RunConfig(base=4, final_time=1e-3, tau0=2.5e-4))
     assert len(result.records) == 5
     assert len(tabulated) == len(set(map(id, tabulated))) <= 3
+
+
+def test_run_evaluates_each_level_once(monkeypatch):
+    # one product with the scalar and one with the velocity evaluator per
+    # level, the initial one included, and per Newton residual or Jacobian,
+    # plus the initial projection's one
+    counts = {"fields": 0, "newton": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fespace.Evaluator, "fields",
+                        counting("fields", fespace.Evaluator.fields))
+    for name in ("residual_vector", "jacobian_matrix"):
+        monkeypatch.setattr(Stepper, name, counting("newton", getattr(Stepper, name)))
+    result = run(RunConfig(base=4, final_time=5e-4, tau0=2.5e-4))
+    assert len(result.states) == 3
+    assert counts["fields"] == 1 + 2 * (len(result.states) + counts["newton"])
 
 
 def test_error_norms_reuse_the_fine_runs_evaluators(monkeypatch):

@@ -125,6 +125,26 @@ def test_damping_rescues_overshooting_iteration():
     assert abs(res.x[0]) <= 1e-12
 
 
+def test_newton_stops_at_the_residual_floor():
+    # |r| cannot fall below 1e-11 > tol: once there, no step along the
+    # Newton direction decreases it, and Newton must stop rather than
+    # refactor on every remaining iteration
+    def r(x):
+        d = x - 1.0
+        return np.where(np.abs(d) < 1e-11, 1e-11, d)
+
+    factorizations = []
+
+    def J(x):
+        factorizations.append(x.copy())
+        return sp.csc_matrix([[1.0]])
+
+    with pytest.raises(NonconvergenceError) as info:
+        newton(r, J, np.array([2.0]), NewtonSettings(tol=1e-12, max_iter=30))
+    assert len(factorizations) <= 2
+    assert info.value.residual_norm == pytest.approx(1e-11)
+
+
 def test_retryable_error_shortens_step():
     class OutOfDomain(RuntimeError):
         pass

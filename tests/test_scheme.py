@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from chnsfem import fespace
 from chnsfem._jets import Jet
 from chnsfem.fespace import evaluator
 from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
@@ -131,11 +132,13 @@ def test_uniform_state_is_a_residual_root(model):
     assert np.abs(r).max() <= 1e-12
 
 
-def test_quadrature_saturation(setup8, model):
+def test_quadrature_saturation(setup8, model, monkeypatch):
     # raising the quadrature degree from 6 to 12 must barely move any entry
     mesh, spaces, state = setup8
-    s6 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3, quad_degree=6))
-    s12 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3, quad_degree=12))
+    s6 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    monkeypatch.setattr(fespace, "QUAD_DEGREE", 12)
+    s12 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    assert s12.w.shape[1] > s6.w.shape[1]
     r6 = s6.residual_vector(s6.fields_from_state(state), s6.pack(state))
     r12 = s12.residual_vector(s12.fields_from_state(state), s12.pack(state))
     assert np.abs(r6 - r12).max() <= 1e-10
@@ -245,6 +248,8 @@ def test_factor_fill_below_default_splu(setup8, model, tau):
     stepper = Stepper(mesh, spaces, model, StepperConfig(tau=tau))
     J = stepper.jacobian_matrix(stepper.fields_from_state(state),
                                 stepper.pack(state))
+    # the assembly keeps its explicit zeros: the pattern Factor orders
+    assert (J.data == 0).sum() > 0
     factor = Factor(J)
     assert factor.lu.nnz <= 0.7 * splu(J).nnz
     b = np.random.default_rng(0).standard_normal(stepper.size)
@@ -365,9 +370,9 @@ def test_stepper_keeps_the_fields_of_the_level_it_returned(setup4, model):
     fresh = stepper.fields_from_vector(stepper.pack(new))
     assert kept.keys() == fresh.keys()
     assert all(np.array_equal(kept[k], fresh[k]) for k in kept)
-    # any other state, even an equal copy, is evaluated afresh
+    # any other state, even an equal copy, is evaluated afresh and kept
     assert stepper.fields_from_state(dataclasses.replace(new)) is not kept
-    assert stepper.fields_from_state(state) is not stepper.fields_from_state(state)
+    assert stepper.fields_from_state(state) is stepper.fields_from_state(state)
     # the next step keeps its own level; a failed step keeps none
     newer, _ = stepper.step(new)
     assert stepper.fields_from_state(newer) is not stepper.fields_from_state(new)
@@ -382,9 +387,11 @@ def test_stepper_keeps_the_fields_of_the_level_it_returned(setup4, model):
 def test_stepped_state_is_read_only(setup4, model):
     mesh, spaces, state = setup4
     new, _ = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3)).step(state)
-    for name in ("phi", "mu", "theta", "u", "pi"):
-        with pytest.raises(ValueError):
-            getattr(new, name).coefficients[0] = 1.0
+    # initial levels too: a Stepper keeps the fields of its start state
+    for level in (state, new):
+        for name in ("phi", "mu", "theta", "u", "pi"):
+            with pytest.raises(ValueError):
+                getattr(level, name).coefficients[0] = 1.0
     edited = new.theta.copy()
     edited.coefficients[0] = 1.0
     assert edited.coefficients[0] == 1.0
