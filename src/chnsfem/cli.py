@@ -8,7 +8,8 @@ with 17 significant digits, which round-trips 64-bit floats exactly and
 makes reruns byte-identical.
 
 Exit codes: 0 success, 1 numerical or structure failure, 2 usage or
-configuration errors (run and converge: also a model that fails validate).
+configuration errors (run and converge: also a model that fails validate,
+or a mesh too large for memory).
 """
 
 from __future__ import annotations
@@ -255,6 +256,13 @@ def cmd_validate(cfg: RunConfig, out: Output) -> int:
     return 0 if report.passed else 1
 
 
+def _out_of_memory(cfg: RunConfig) -> int:
+    n = cfg.mesh_subdivisions
+    print(f"error: out of memory; the finest mesh is {n}x{n} ([mesh] base = "
+          f"{cfg.base}, level = {cfg.level})", file=sys.stderr)
+    return 2
+
+
 def cmd_run(cfg: RunConfig, out: Output) -> int:
     outdir = out.directory
     outdir.mkdir(parents=True, exist_ok=True)
@@ -267,6 +275,8 @@ def cmd_run(cfg: RunConfig, out: Output) -> int:
     except FactorizationError as exc:
         print(f"error: linear solver failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        return _out_of_memory(cfg)
     write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
     _write_snapshots(out, result)
     tau, n_steps = result.config.resolve_tau()
@@ -290,6 +300,8 @@ def cmd_converge(cfg: RunConfig, out: Output) -> int:
         step = getattr(exc, "step_index", None)
         print(f"error: solver failed (step {step}): {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        return _out_of_memory(cfg)
     write_eoc_tables(outdir, table)
     print(format_error_table(table), end="")
     final = table.final_combined_eoc()

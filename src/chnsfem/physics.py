@@ -3,10 +3,10 @@ entropy, viscosity and mobility, plus self-validation of the structural
 assumptions the scheme relies on.
 
 All callables are pure pointwise functions of (phi, theta) (entropy also
-takes g2 = |grad phi|^2) and must be written with numpy-style arithmetic:
-assembly evaluates them on plain arrays for residuals and on dual-number
-arrays for exact Jacobians, so branching on operand values is not allowed
-inside them.
+takes g2 = |grad phi|^2) and must be complex-analytic numpy arithmetic:
+assembly evaluates them on real arrays for residuals and on complex-stepped
+arrays for exact Jacobians.  abs, comparisons, np.real, np.maximum or
+np.where would silently drop derivatives from the Jacobian.
 """
 
 from __future__ import annotations

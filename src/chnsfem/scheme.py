@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._jets import Jet, derivative_of
 from .fespace import (
     P1,
     P1_MEANFREE,
@@ -49,14 +48,16 @@ from .physics import MaterialModel, SplitValidityWarning
 STAR_OLD = "old"
 STAR_NEW = "new"
 
-# pointwise seed channels for the Newton linearization
-_CHANNELS = ("p", "px", "py", "m", "mx", "my", "t", "tx", "ty",
-             "u1", "u1x", "u1y", "u2", "u2x", "u2y", "pi")
-_NCH = len(_CHANNELS)
+# complex step of the Newton linearization: a power of two, so linear terms
+# come out exact (Squire & Trapp, SIAM Rev. 40, 1998)
+STEP = 2.0**-100
 
-# channel -> (trial field, basis part: 0 value, 1 d/dx, 2 d/dy)
-_TRIAL_OF_CHANNEL = [(name, part) for name in ("phi", "mu", "theta", "u1", "u2")
-                     for part in range(3)] + [("pi", 0)]
+# pointwise channels of the linearization: (field key, trial field, basis
+# part: 0 value, 1 d/dx, 2 d/dy)
+_CHANNELS = [(key + suffix, trial, part)
+             for key, trial in zip(("p", "m", "t", "u1", "u2"),
+                                   ("phi", "mu", "theta", "u1", "u2"))
+             for part, suffix in enumerate(("", "x", "y"))] + [("pi", "pi", 0)]
 
 
 class PositivityError(RuntimeError):
@@ -125,6 +126,8 @@ class StepperConfig:
             raise ValueError("time step must be positive")
         if self.star_rule not in (STAR_OLD, STAR_NEW):
             raise ValueError(f"star rule must be 'old' or 'new', got {self.star_rule!r}")
+        if not self.theta_floor >= 0:
+            raise ValueError("positivity floor theta_floor must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,9 @@ def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: f
     sum_q w * (S * N_i + Vx * dN_i/dx + Vy * dN_i/dy); the two momentum
     components play the same role against the vector basis.  The equations
     come in the order of the unknowns whose test functions they are tested
-    with (phi, mu, theta, u1, u2, pi).  ``new`` may hold jets, in which case
-    every density carries its exact pointwise linearization.
+    with (phi, mu, theta, u1, u2, pi).  The densities are complex-analytic
+    in the fields, so with one field of ``new`` stepped by i*STEP their
+    imaginary parts over STEP are its pointwise derivatives to roundoff.
     """
     g = model.gamma
     L11, L12, L22 = model.L11, model.L12, model.L22
@@ -229,9 +233,9 @@ def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: f
 
 def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
                       velocity: np.ndarray) -> dict:
-    """The kernels' fields of one level at the quadrature points (keys of
-    ``_CHANNELS``), from the stacked coefficients of phi, mu, theta and pi
-    and the component-blocked velocity coefficients."""
+    """The kernels' fields of one level at the quadrature points (the field
+    keys of ``_CHANNELS``), from the stacked coefficients of phi, mu, theta
+    and pi and the component-blocked velocity coefficients."""
     s = ev1.fields(scalar)
     out: dict = {"pi": s[3, 0]}
     for name, f in zip(("p", "m", "t", "u1", "u2"), (*s[:3], *ev2.fields(velocity))):
@@ -367,27 +371,26 @@ class Stepper:
 
     def jacobian_matrix(self, old_fields: dict, x: np.ndarray,
                         step_index: int | None = None) -> sp.csc_matrix:
-        """Exact linearization of the residual at ``x``."""
+        """Linearization of the residual at ``x``, exact to roundoff: one
+        complex-step evaluation of the kernels per channel."""
         plain = self.fields_from_vector(x)
         self._check_positivity(plain["t"], step_index)
-        jets = {name: Jet.seeded(plain[name], c, _NCH)
-                for c, name in enumerate(_CHANNELS)}
-        star = old_fields if self.cfg.star_rule == STAR_OLD else jets
         lam = float(x[self.lam_index])
-        kern = _kernels(jets, old_fields, star, lam, self.model, self.cfg.tau)
 
         rows_list, cols_list, vals_list = [], [], []
-        for densities, (test, rows) in zip(kern.values(), self._local.values()):
-            ders = [derivative_of(d) for d in densities]
-            for ch, (trial_field, part) in enumerate(_TRIAL_OF_CHANNEL):
+        for key, trial_field, part in _CHANNELS:
+            new = {**plain, key: plain[key] + 1j * STEP}
+            star = old_fields if self.cfg.star_rule == STAR_OLD else new
+            kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
+            trial, cols = self._local[trial_field]
+            for densities, (test, rows) in zip(kern.values(), self._local.values()):
                 rowpart = None  # sum_k w * d(density k)/d(channel) * test[k]
-                for k, der in enumerate(ders):
-                    if der is not None and np.any(der[..., ch]):
-                        term = (self.w * der[..., ch])[..., None] * test[k]
+                for k, d in enumerate(densities):
+                    if d is not None and np.any(d.imag):
+                        term = (self.w * d.imag / STEP)[..., None] * test[k]
                         rowpart = term if rowpart is None else rowpart + term
                 if rowpart is None:
                     continue
-                trial, cols = self._local[trial_field]
                 block = np.einsum("eqa,eqb->eab", rowpart, trial[part])
                 rows_list.append(np.broadcast_to(rows[:, :, None], block.shape).ravel())
                 cols_list.append(np.broadcast_to(cols[:, None, :], block.shape).ravel())

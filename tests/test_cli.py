@@ -104,6 +104,7 @@ def test_bad_value_rejected(tmp_path):
     ("model", "mobility = -1"),
     ("model", "eta_min = -1"),
     ("model", "gamma = -1"),
+    ("scheme", "theta_floor = -1"),
 ])
 def test_invalid_value_rejected(tmp_path, capsys, section, line):
     path = write_config(tmp_path, f"[{section}]\n{line}\n")
@@ -266,6 +267,20 @@ def test_run_solver_failure_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, text)
     assert main(["run", "--config", str(path)]) == 1
     assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, command):
+    def no_memory(n):
+        raise MemoryError
+
+    monkeypatch.setattr("chnsfem.harness.build_uniform", no_memory)
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "level = 0", "level = 40")
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory" in err and str(8 * 2**40) in err
 
 
 def test_converge_gate_failure_exit_code(tmp_path):

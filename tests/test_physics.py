@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chnsfem.physics import MaterialModel, default_model, validate_model
+from chnsfem.scheme import STEP
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,29 @@ def test_split_consistency(model):
     phi, theta = _samples()
     dev = model.psi_vex(phi, theta) + model.psi_cav(phi, theta) - model.psi(phi, theta)
     assert np.abs(dev).max() <= 1e-13
+
+
+def test_complex_step_derivatives_match_hand_derivatives(model):
+    # the Jacobian differentiates the model callables by complex step, which
+    # only works while they are complex-analytic numpy arithmetic
+    phi, theta = _samples()
+    g2 = np.random.default_rng(2).uniform(0, 4, phi.shape)
+    w1 = 2.0 * phi * (1.0 - phi) * (1.0 - 2.0 * phi)  # W'(phi)
+    cubic = 4.0 * phi**3 - 6.0 * phi * phi + 3.0 * phi
+    eta_quad = 1.0 / 40.0
+    hand = {  # callable: (d/dphi, d/dtheta)
+        model.e: (2.0 * w1, -1.0 / theta**2),
+        lambda p, t: model.s(p, t, g2): (w1, -1.0 / theta),
+        model.eta: (2.0 * eta_quad * (phi + 1.0), 0.0 * phi),
+        model.dphi_psi_vex: ((2.0 * theta - 1.0) * (12.0 * phi * phi - 12.0 * phi + 3.0),
+                             2.0 * cubic),
+        model.dphi_psi_cav: (-(2.0 * theta - 1.0), -2.0 * phi),
+    }
+    for f, (dphi, dtheta) in hand.items():
+        cs_phi = f(phi + 1j * STEP, theta).imag / STEP
+        cs_theta = f(phi, theta + 1j * STEP).imag / STEP
+        assert np.abs(cs_phi - dphi).max() <= 1e-13
+        assert np.abs(cs_theta - dtheta).max() <= 1e-13
 
 
 def test_viscosity_values(model):

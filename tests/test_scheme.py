@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from chnsfem import fespace
-from chnsfem._jets import Jet
 from chnsfem.fespace import evaluator
 from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
 from chnsfem.mesh import build_uniform
@@ -62,30 +62,6 @@ def setup8(model):
     spaces = build_spaces(mesh)
     state = initial_state(mesh, spaces, model, phi0, theta0, u0)
     return mesh, spaces, state
-
-
-# -- jets ---------------------------------------------------------------
-
-
-def test_jet_arithmetic_against_hand_derivatives():
-    rng = np.random.default_rng(0)
-    v = rng.uniform(0.5, 2.0, (3, 4))
-    x = Jet.seeded(v, 0, 2)
-    y = 2.0 * x + x * x - 1.0 / x
-    expect = 2.0 + 2.0 * v + 1.0 / v**2
-    assert np.abs(y.der[..., 0] - expect).max() <= 1e-13
-    assert not y.der[..., 1].any()
-
-
-def test_jet_numpy_ufuncs():
-    v = np.array([[0.7, 1.3]])
-    x = Jet.seeded(v, 1, 3)
-    y = np.log(x) + np.sqrt(x) * np.exp(x)
-    expect = 1.0 / v + np.exp(v) * (0.5 / np.sqrt(v) + np.sqrt(v))
-    assert np.abs(y.der[..., 1] - expect).max() <= 1e-13
-    z = np.asarray([2.0]) * x  # ndarray on the left must defer to the jet
-    assert isinstance(z, Jet)
-    assert np.abs(z.der[..., 1] - 2.0).max() == 0.0
 
 
 # -- initial state --------------------------------------------------------
@@ -207,6 +183,24 @@ def test_multiplier_column_is_p1_load_vector(setup4, model):
     # the multiplier column and mean row touch nothing else
     assert np.abs(np.delete(col, np.arange(off_pi, off_pi + n1))).max() == 0.0
     assert np.abs(np.delete(row, np.arange(off_pi, off_pi + n1))).max() == 0.0
+
+
+def test_jacobian_traced_peak_memory(model):
+    # one Jacobian of the n=16 benchmark (setup8's data at n=16, tau=1e-2):
+    # the per-channel complex-step assembly keeps its temporaries small
+    mesh = build_uniform(16)
+    spaces = build_spaces(mesh)
+    state = initial_state(mesh, spaces, model, phi0, theta0, u0)
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
+    old_fields = stepper.fields_from_state(state)
+    x = stepper.pack(state)
+    tracemalloc.start()
+    try:
+        stepper.jacobian_matrix(old_fields, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20
 
 
 # -- stepping -------------------------------------------------------------
@@ -443,3 +437,5 @@ def test_config_validation():
         StepperConfig(tau=0.0)
     with pytest.raises(ValueError):
         StepperConfig(tau=1e-3, star_rule="midpoint")
+    with pytest.raises(ValueError):
+        StepperConfig(tau=1e-3, theta_floor=-1.0)
