@@ -9,7 +9,8 @@ makes reruns byte-identical.
 
 Exit codes: 0 success, 1 numerical or structure failure, 2 usage or
 configuration errors (run and converge: also a model that fails validate,
-or a mesh too large for memory).
+a mesh beyond the solver's index range or too large for memory, or an
+output directory that cannot be created).
 """
 
 from __future__ import annotations
@@ -168,43 +169,33 @@ def write_vtk_snapshot(path: Path, mesh: PeriodicTriMesh, state: State,
     Points duplicate the periodic boundary (an (n+1)^2 grid), so triangles
     render without wrapping; velocity is subsampled at the vertices.
     """
+    # grid point i*(n+1) + j of each triangle's unwrapped corner (i*h, j*h)
     n = mesh.n
+    grid = np.rint(mesh.tri_coords * n).astype(np.int64)
+    cells = grid[..., 0] * (n + 1) + grid[..., 1]
     npts = (n + 1) ** 2
-
-    def pid(i, j):
-        return i * (n + 1) + j
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
+    points = np.empty((npts, 2))
+    points[cells] = mesh.tri_coords
+    index = np.empty(npts, dtype=np.int64)  # the vertex each point wraps to
+    index[cells] = mesh.triangles
 
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {npts} double"]
-    h = mesh.h
-    for i in range(n + 1):
-        for j in range(n + 1):
-            lines.append(f"{_fmt(i * h)} {_fmt(j * h)} 0")
-    ncell = 2 * n * n
-    lines.append(f"CELLS {ncell} {4 * ncell}")
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"3 {pid(i, j)} {pid(i + 1, j)} {pid(i + 1, j + 1)}")
-            lines.append(f"3 {pid(i, j)} {pid(i + 1, j + 1)} {pid(i, j + 1)}")
-    lines.append(f"CELL_TYPES {ncell}")
-    lines.extend(["5"] * ncell)
+    lines.extend(f"{_fmt(x)} {_fmt(y)} 0" for x, y in points.tolist())
+    lines.append(f"CELLS {len(cells)} {4 * len(cells)}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in cells.tolist())
+    lines.append(f"CELL_TYPES {len(cells)}")
+    lines.extend(["5"] * len(cells))
 
-    index = np.array([vid(i, j) for i in range(n + 1) for j in range(n + 1)])
     lines.append(f"POINT_DATA {npts}")
     for name, fn in (("phi", state.phi), ("mu", state.mu),
                      ("theta", state.theta), ("pressure", state.pi)):
-        lines.append(f"SCALARS {name} double")
-        lines.append("LOOKUP_TABLE default")
-        values = fn.coefficients[index]
-        lines.extend(_fmt(v) for v in values)
+        lines += [f"SCALARS {name} double", "LOOKUP_TABLE default"]
+        lines.extend(_fmt(v) for v in fn.coefficients[index].tolist())
     # P2 coefficients at vertex DOFs are the nodal velocity values
-    u1 = state.u.component(0)[index]
-    u2 = state.u.component(1)[index]
     lines.append("VECTORS velocity double")
-    lines.extend(f"{_fmt(a)} {_fmt(b)} 0" for a, b in zip(u1, u2))
+    lines.extend(f"{_fmt(a)} {_fmt(b)} 0"
+                 for a, b in state.u.coefficients.reshape(2, -1)[:, index].T.tolist())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -263,9 +254,22 @@ def _out_of_memory(cfg: RunConfig) -> int:
     return 2
 
 
+def _output_directory(out: Output) -> Path | None:
+    """The output directory, created if missing; None after a message if
+    it cannot be."""
+    try:
+        out.directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out.directory}: {exc}",
+              file=sys.stderr)
+        return None
+    return out.directory
+
+
 def cmd_run(cfg: RunConfig, out: Output) -> int:
-    outdir = out.directory
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_directory(out)
+    if outdir is None:
+        return 2
     try:
         result = run(cfg)
     except (StepFailure, StructureViolationError) as exc:
@@ -292,8 +296,9 @@ def cmd_converge(cfg: RunConfig, out: Output) -> int:
         print("error: converge needs [mesh] level >= 1 (levels 0..level are run)",
               file=sys.stderr)
         return 2
-    outdir = out.directory
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_directory(out)
+    if outdir is None:
+        return 2
     try:
         table, _ = convergence_study(cfg, num_levels)
     except (StepFailure, StructureViolationError, FactorizationError) as exc:

@@ -15,12 +15,13 @@ DOF ``k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PeriodicTriMesh, QuadRule, quad_rule
+from .mesh import PeriodicTriMesh, QuadRule, locate, quad_rule
 
 P1 = "P1-scalar"
 P1_MEANFREE = "P1-scalar-meanfree"
@@ -32,6 +33,12 @@ _FAMILIES = (P1, P1_MEANFREE, P2, P2_VECTOR)
 #: degree of the one rule that assembly, diagnostics, norms and the
 #: trilinear form share
 QUAD_DEGREE = 6
+
+#: largest mesh (subdivisions per axis) the evaluators can index: their
+#: operators use int32 indices, and the P2 one stores 3 parts x 2n^2
+#: triangles x nq points x 6 basis functions entries
+MAX_SUBDIVISIONS = math.isqrt(np.iinfo(np.int32).max
+                              // (3 * 2 * len(quad_rule(QUAD_DEGREE).weights) * 6))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,24 +131,6 @@ def _p2_ref_grads(bary: np.ndarray) -> np.ndarray:
     return g
 
 
-def _edge_key(mid: np.ndarray, n: int) -> tuple[int, int]:
-    return (round(mid[0] * 2 * n) % (2 * n), round(mid[1] * 2 * n) % (2 * n))
-
-
-def _build_edge_table(mesh: PeriodicTriMesh):
-    """Unique periodic edges, id'd lexicographically by wrapped midpoint."""
-    n = mesh.n
-    keys = {}
-    for corners in mesh.tri_coords:
-        for a, b in ((1, 2), (2, 0), (0, 1)):
-            mid = 0.5 * (corners[a] + corners[b])
-            keys.setdefault(_edge_key(mid, n), None)
-    ordered = sorted(keys)
-    ids = {key: k for k, key in enumerate(ordered)}
-    coords = np.array([(kx / (2 * n), ky / (2 * n)) for kx, ky in ordered])
-    return ids, coords
-
-
 def build_space(mesh: PeriodicTriMesh, family: str) -> FunctionSpace:
     """Build a periodic space; DOFs on identified faces coincide."""
     if family not in _FAMILIES:
@@ -153,15 +142,18 @@ def build_space(mesh: PeriodicTriMesh, family: str) -> FunctionSpace:
                              node_coords=mesh.vertices.copy(),
                              num_components=1, scalar_dof_count=nv)
 
-    edge_ids, edge_coords = _build_edge_table(mesh)
-    ne = mesh.num_triangles
-    table = np.empty((ne, 6), dtype=np.int32)
+    # edges (1,2), (2,0), (0,1) of each triangle, keyed by the wrapped
+    # midpoint in units of h/2 (kx*2n + ky, so key order is lexicographic)
+    n2 = 2 * mesh.n
+    corners = mesh.tri_coords
+    mid = np.rint((corners[:, [1, 2, 0]] + corners[:, [2, 0, 1]]) * mesh.n)
+    mid = mid.astype(np.int64) % n2
+    keys, edge_ids = np.unique(mid[..., 0] * n2 + mid[..., 1], return_inverse=True)
+    table = np.empty((mesh.num_triangles, 6), dtype=np.int32)
     table[:, :3] = mesh.triangles
-    for t, corners in enumerate(mesh.tri_coords):
-        for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            mid = 0.5 * (corners[a] + corners[b])
-            table[t, 3 + k] = nv + edge_ids[_edge_key(mid, mesh.n)]
-    scalar_dofs = nv + len(edge_ids)
+    table[:, 3:] = nv + edge_ids.reshape(-1, 3)
+    edge_coords = np.column_stack(np.divmod(keys, n2)) / n2
+    scalar_dofs = nv + len(keys)
     ncomp = 2 if family == P2_VECTOR else 1
     return FunctionSpace(mesh=mesh, family=family,
                          dof_count=ncomp * scalar_dofs,
@@ -270,42 +262,11 @@ def interpolate(space: FunctionSpace, f) -> FeFunction:
     Scalar spaces take ``f(x, y) -> values``; the vector space takes
     ``f(x, y) -> (u1, u2)``.  The closure must accept numpy arrays.
     """
-    x = space.node_coords[:, 0]
-    y = space.node_coords[:, 1]
-    if space.is_vector:
-        u1, u2 = f(x, y)
-        coeffs = np.concatenate([
-            np.broadcast_to(np.asarray(u1, dtype=float), x.shape),
-            np.broadcast_to(np.asarray(u2, dtype=float), x.shape),
-        ])
-    else:
-        vals = np.asarray(f(x, y), dtype=float)
-        coeffs = np.broadcast_to(vals, x.shape).copy()
+    x, y = space.node_coords.T
+    values = f(x, y) if space.is_vector else (f(x, y),)
+    coeffs = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+                             for v in values])
     return FeFunction(space, coeffs)
-
-
-def _locate(mesh: PeriodicTriMesh, points: np.ndarray):
-    """Map points to (triangle index, barycentric coordinates)."""
-    pts = np.mod(np.asarray(points, dtype=float), 1.0)
-    n = mesh.n
-    sx = pts[:, 0] * n
-    sy = pts[:, 1] * n
-    i = np.minimum(np.floor(sx).astype(np.int64), n - 1)
-    j = np.minimum(np.floor(sy).astype(np.int64), n - 1)
-    xi = sx - i
-    eta = sy - j
-    upper = eta > xi
-    tri = 2 * (i * n + j) + upper
-    bary = np.empty((pts.shape[0], 3))
-    # lower triangle (a, b, c): bary = (1-xi, xi-eta, eta)
-    bary[~upper, 0] = 1.0 - xi[~upper]
-    bary[~upper, 1] = xi[~upper] - eta[~upper]
-    bary[~upper, 2] = eta[~upper]
-    # upper triangle (a, c, d): bary = (1-eta, xi, eta-xi)
-    bary[upper, 0] = 1.0 - eta[upper]
-    bary[upper, 1] = xi[upper]
-    bary[upper, 2] = eta[upper] - xi[upper]
-    return tri, bary
 
 
 def evaluate(f: FeFunction, points: np.ndarray) -> np.ndarray:
@@ -315,18 +276,12 @@ def evaluate(f: FeFunction, points: np.ndarray) -> np.ndarray:
     space.
     """
     space = f.space
-    tri, bary = _locate(space.mesh, points)
-    if space.family in (P1, P1_MEANFREE):
-        basis = _p1_values(bary)
-    else:
-        basis = _p2_values(bary)
+    tri, bary = locate(space.mesh, points)
+    basis = _p1_values(bary) if space.family in (P1, P1_MEANFREE) else _p2_values(bary)
     dofs = space.element_dof_table[tri]
-    if space.is_vector:
-        out = np.empty((len(tri), 2))
-        for c in range(2):
-            out[:, c] = np.sum(basis * f.component(c)[dofs], axis=1)
-        return out
-    return np.sum(basis * f.coefficients[dofs], axis=1)
+    values = np.sum(basis * f.coefficients.reshape(space.num_components, -1)[:, dofs],
+                    axis=-1)
+    return values.T if space.is_vector else values[0]
 
 
 def prolong(f: FeFunction, fine_space: FunctionSpace) -> FeFunction:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, initial_record, record
-from .fespace import FeFunction, evaluator, prolong
+from .fespace import MAX_SUBDIVISIONS, FeFunction, evaluator, prolong
 from .la import NewtonSettings
 from .mesh import PeriodicTriMesh, build_uniform
 from .physics import MaterialModel, default_model
@@ -58,10 +58,11 @@ def benchmark_initial_data():
 class RunConfig:
     """One simulation of the refinement ladder.
 
-    The mesh has ``base * 2**level`` subdivisions per axis.  Level 0 takes
-    the fewest steps of equal length that reach ``final_time`` with a step
-    no longer than ``c_tau * h_0`` (or ``tau0`` when given explicitly);
-    level k takes ``2**k`` times as many, so the levels nest in time.
+    The mesh has ``base * 2**level`` subdivisions per axis, at most
+    ``MAX_SUBDIVISIONS``.  Level 0 takes the fewest steps of equal length
+    that reach ``final_time`` with a step no longer than ``c_tau * h_0`` (or
+    ``tau0`` when given explicitly); level k takes ``2**k`` times as many,
+    so the levels nest in time.
     """
 
     base: int = 8
@@ -80,6 +81,11 @@ class RunConfig:
             raise ValueError("base mesh must have at least 4 subdivisions per axis")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
+        if self.base > MAX_SUBDIVISIONS >> self.level:  # base * 2**level too large
+            raise ValueError(
+                f"the finest mesh, {self.base} * 2**{self.level} subdivisions per "
+                f"axis, exceeds {MAX_SUBDIVISIONS}, the most the solver's int32 "
+                "indices can address")
         if self.final_time <= 0:
             raise ValueError("final time must be positive")
         if self.c_tau <= 0:

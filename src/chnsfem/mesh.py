@@ -38,6 +38,10 @@ class PeriodicTriMesh:
         lexicographically by (x, y).
     triangles : ndarray, shape (2*n*n, 3)
         Periodic vertex indices of each triangle, counterclockwise.
+        Triangle 2*(i*n + j) is the lower triangle (a, b, c) of cell
+        (i, j) and triangle 2*(i*n + j) + 1 its upper triangle (a, c, d),
+        where a, b, c, d are the cell's corners counterclockwise from
+        (i*h, j*h).  Vertex i*n + j sits at (i*h, j*h).
     tri_coords : ndarray, shape (2*n*n, 3, 2)
         Unwrapped corner coordinates of each triangle.  Corners of cells
         touching the right/top faces have coordinates up to 1; the index
@@ -81,34 +85,34 @@ def build_uniform(n: int) -> PeriodicTriMesh:
     n = int(n)
     h = 1.0 / n
 
-    ij = np.arange(n)
-    # vertex id = i*n + j is lexicographic in (x, y) = (i*h, j*h)
-    vx, vy = np.meshgrid(ij, ij, indexing="ij")
-    vertices = np.column_stack([vx.ravel() * h, vy.ravel() * h])
+    # row i*n + j holds (i, j): cell (i, j) and vertex i*n + j, which is
+    # lexicographic in (x, y) = (i*h, j*h)
+    ij = np.column_stack(np.divmod(np.arange(n * n), n))
+    vertices = ij * h
 
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    tri_coords = np.empty((2 * n * n, 3, 2), dtype=float)
-
-    def vid(i: int, j: int) -> int:
-        return (i % n) * n + (j % n)
-
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            a = (i * h, j * h)
-            b = ((i + 1) * h, j * h)
-            c = ((i + 1) * h, (j + 1) * h)
-            d = (i * h, (j + 1) * h)
-            # lower triangle: below the cell diagonal a-c
-            triangles[k] = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1))
-            tri_coords[k] = (a, b, c)
-            # upper triangle
-            triangles[k + 1] = (vid(i, j), vid(i + 1, j + 1), vid(i, j + 1))
-            tri_coords[k + 1] = (a, c, d)
-            k += 2
+    # grid offsets of the corners of each cell's lower triangle (a, b, c),
+    # below the diagonal a-c, and of its upper triangle (a, c, d)
+    offsets = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+    grid = (ij[:, None, None, :] + offsets).reshape(-1, 3, 2)
+    triangles = (grid[..., 0] % n) * n + grid[..., 1] % n
+    tri_coords = grid * h
 
     return PeriodicTriMesh(n=n, h=h, vertices=vertices, triangles=triangles,
                            tri_coords=tri_coords)
+
+
+def locate(mesh: PeriodicTriMesh, points: np.ndarray):
+    """Map points to (triangle index, barycentric coordinates): the inverse
+    of the numbering above, after the periodic wrap."""
+    s = np.mod(np.asarray(points, dtype=float), 1.0) * mesh.n
+    i, j = np.minimum(np.floor(s).astype(np.int64), mesh.n - 1).T
+    xi, eta = s[:, 0] - i, s[:, 1] - j
+    upper = eta > xi
+    # lower triangle (a, b, c): (1-xi, xi-eta, eta); upper (a, c, d):
+    # (1-eta, xi, eta-xi)
+    bary = np.where(upper[:, None], np.column_stack([1.0 - eta, xi, eta - xi]),
+                    np.column_stack([1.0 - xi, xi - eta, eta]))
+    return 2 * (i * mesh.n + j) + upper, bary
 
 
 def _orbit3(a: float, b: float) -> list[tuple[float, float, float]]:

@@ -187,6 +187,19 @@ def test_vtk_structure(tmp_path):
     for name in ("phi", "mu", "theta", "pressure"):
         assert f"SCALARS {name} double" in body
     assert "VECTORS velocity double" in body
+    # cell t is triangle t, its points at the triangle's unwrapped corners
+    points = np.array([line.split() for line in lines[5:cells_at]], dtype=float)
+    cells = np.array([line.split()[1:] for line in
+                      lines[cells_at + 1:cells_at + 1 + ncell]], dtype=int)
+    assert np.all(points[:, 2] == 0)
+    assert np.array_equal(points[cells, :2], result.mesh.tri_coords)
+    # each point carries the phi coefficient of the vertex it wraps to
+    phi_at = lines.index("SCALARS phi double") + 2
+    phi = np.array(lines[phi_at:phi_at + npts], dtype=float)
+    offset = (points[:, None, :2] - result.mesh.vertices + 0.5) % 1.0 - 0.5
+    vertex = np.argmin(np.abs(offset).sum(axis=-1), axis=1)
+    assert np.abs(offset[np.arange(npts), vertex]).max() <= 1e-15
+    assert np.array_equal(phi, result.states[-1].phi.coefficients[vertex])
 
 
 def test_raw_snapshot_roundtrip(tmp_path):
@@ -276,11 +289,42 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, command):
 
     monkeypatch.setattr("chnsfem.harness.build_uniform", no_memory)
     text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "level = 0", "level = 8")
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory" in err and str(8 * 2**8) in err
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_mesh_beyond_index_range_exit_code(tmp_path, capsys, monkeypatch,
+                                           command):
+    # rejected with the configuration, before any mesh is built
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr("chnsfem.harness.build_uniform", no_mesh)
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
         "level = 0", "level = 40")
     path = write_config(tmp_path, text)
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "error: out of memory" in err and str(8 * 2**40) in err
+    assert "8 * 2**40" in err and "2229" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unusable_output_directory_exit_code(tmp_path, capsys, command,
+                                             target):
+    (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "level = 0", "level = 1")
+    path = write_config(tmp_path, text)
+    outdir = tmp_path / target
+    assert main([command, "--config", str(path), "--output", str(outdir)]) == 2
+    assert f"error: cannot create output directory {outdir}" in \
+        capsys.readouterr().err
 
 
 def test_converge_gate_failure_exit_code(tmp_path):

@@ -50,6 +50,27 @@ def test_every_dof_referenced(family):
     assert len(np.unique(table)) == space.scalar_dof_count
 
 
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_p2_numbering(n):
+    mesh = build_uniform(n)
+    space = build_space(mesh, P2)
+    nodes = space.node_coords[space.element_dof_table]
+    corners = mesh.tri_coords
+    midpoints = 0.5 * (corners[:, [1, 2, 0]] + corners[:, [2, 0, 1]])
+    # local node k sits at corner k, then at the midpoints of edges
+    # (1,2), (2,0), (0,1), wrapped into the unit square
+    gap = (nodes - np.concatenate([corners, midpoints], axis=1) + 0.5) % 1.0 - 0.5
+    assert np.abs(gap).max() <= 1e-15
+    assert np.all((0 <= nodes) & (nodes < 1))
+    # edge DOFs follow the vertices, one per edge, in strictly increasing
+    # lexicographic order of their coordinates
+    nv = mesh.num_vertices
+    assert np.array_equal(np.unique(space.element_dof_table[:, 3:]),
+                          np.arange(nv, nv + 3 * n * n))
+    x, y = space.node_coords[nv:].T
+    assert np.all((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1])))
+
+
 @pytest.mark.parametrize("family", [P1, P2])
 def test_partition_of_unity_and_gradient_sum(family):
     space = build_space(build_uniform(3), family)

@@ -90,6 +90,17 @@ def test_config_validation():
         RunConfig(star_rule="mid")
 
 
+def test_config_rejects_a_mesh_beyond_the_index_range():
+    # the P2 evaluator stores 3 x 2n^2 x 12 x 6 entries behind int32 indices
+    assert fespace.MAX_SUBDIVISIONS == 2229
+    assert 432 * 2229**2 <= np.iinfo(np.int32).max < 432 * 2230**2
+    for kwargs in ({"level": 40}, {"base": 2230}, {"base": 1115, "level": 1}):
+        with pytest.raises(ValueError, match="2229"):
+            RunConfig(**kwargs)
+    assert RunConfig(base=2229).mesh_subdivisions == 2229
+    assert RunConfig(base=557, level=2).mesh_subdivisions == 2228
+
+
 def _fake_refined(result: RunResult) -> RunResult:
     """Fine-level stand-in whose states are prolongations of the coarse run."""
     fine_cfg = dataclasses.replace(result.config, level=result.config.level + 1)

@@ -70,6 +70,23 @@ def test_areas_positive_and_sum_to_one(n):
     assert abs(areas.sum() - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_numbering(n):
+    # the layout PeriodicTriMesh documents, which fespace, locate and the
+    # VTK writer read back: cell (i, j) owns triangles 2*(i*n+j) (lower,
+    # corners a b c) and 2*(i*n+j)+1 (upper, corners a c d)
+    mesh = build_uniform(n)
+    i, j = np.divmod(np.arange(n * n), n)
+    a = np.column_stack([i, j])
+    b, c, d = a + (1, 0), a + (1, 1), a + (0, 1)
+    expected = np.stack([np.stack([a, b, c], 1), np.stack([a, c, d], 1)], 1)
+    assert np.array_equal(mesh.tri_coords, expected.reshape(-1, 3, 2) * mesh.h)
+    assert np.array_equal(mesh.vertices, a * mesh.h)
+    # each triangle's vertex indices name its wrapped corners (exact for
+    # these n, where n * (1/n) rounds to 1)
+    assert np.array_equal(mesh.vertices[mesh.triangles], mesh.tri_coords % 1.0)
+
+
 def test_build_uniform_rejects_zero():
     with pytest.raises(ValueError):
         build_uniform(0)
