@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PeriodicTriMesh, QuadRule, locate, quad_rule
+from .mesh import TRIANGLE_TYPES, PeriodicTriMesh, QuadRule, locate, quad_rule
 
 P1 = "P1-scalar"
 P1_MEANFREE = "P1-scalar-meanfree"
@@ -77,10 +77,6 @@ class FeFunction:
 
     def copy(self) -> "FeFunction":
         return FeFunction(self.space, self.coefficients.copy())
-
-    def component(self, c: int) -> np.ndarray:
-        ns = self.space.scalar_dof_count
-        return self.coefficients[c * ns:(c + 1) * ns]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +192,15 @@ class Evaluator:
     local basis function ``b`` at point ``q`` of triangle ``e``.  It is the
     entry array of ``E`` (CSR, ``3*ne*nq`` by ``scalar_dof_count``), whose
     row ``(k*ne + e)*nq + q`` maps scalar DOF coefficients to part ``k`` of
-    the field at that point.  ``E @ c`` evaluates a field, ``E.T`` assembles
-    against the test functions and ``basis`` assembles matrices, so every
-    integral in assembly, diagnostics and error norms uses the same rule.
+    the field at that point.  ``E @ c`` evaluates a field and ``E.T``
+    assembles against the test functions, so every integral in assembly,
+    diagnostics and error norms uses the same rule.
+
+    ``type_basis[k, t]`` and ``type_weights[t]`` are views of ``basis`` and
+    ``weights`` at triangle ``t``, the first of its type (mesh.TRIANGLE_TYPES):
+    the table of every triangle of type ``t`` (bitwise when n is a power of
+    two, to a few ulps otherwise), from which matrices are assembled with
+    one dense product per type.
     """
 
     def __init__(self, space: FunctionSpace, rule: QuadRule):
@@ -208,6 +210,8 @@ class Evaluator:
         self.basis[0] = tab.N
         self.basis[1:] = np.moveaxis(tab.grads, -1, 0)
         self.weights = tab.weights
+        self.type_basis = self.basis[:, :TRIANGLE_TYPES]
+        self.type_weights = self.weights[:TRIANGLE_TYPES]
         self.shape = (3, ne, nq)
         self.num_components = space.num_components
         dofs = space.element_dof_table

@@ -5,19 +5,26 @@ beats any iterative setup here.  It factors A with each row scaled by its
 largest entry, in a minimum-degree order of the pattern of A + A^T, with
 threshold pivoting (DIAG_PIVOT_THRESH); on the saddle-point Jacobians that
 cuts the fill about 3x against COLAMD with partial pivoting.  Every solve
-is still checked against the unscaled A.  Factorization dominates,
-so Newton first takes chord steps on a factor the caller kept (Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2) while
-each cuts the exact residual norm CHORD_CONTRACTION-fold; how many it
-takes depends on how close the caller's start is to the root (the time
-stepper extrapolates it from earlier levels).  A trial that
-raises the norm, or whose residual signals "retry with a shorter step" by
-raising a designated exception type, is discarded.  Then each iteration
-factors the exact Jacobian and halves the step until a step of size s
-lowers the norm to at most (1 - ARMIJO * s) times its old value without the
-retry signal (Armijo's rule), which handles positivity-constrained
-nonlinearities.  When MAX_HALVINGS halvings find no such step, the norm sits
-at its roundoff floor, and Newton stops instead of refactoring.
+is still checked against the unscaled A.
+
+Factorization dominates, so Newton takes chord steps (Kelley, Solving
+Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2) on the factor
+it holds while each cuts the exact residual norm CHORD_CONTRACTION-fold.
+It starts with the factor the caller kept, if any; how many chord steps
+that serves depends on how close the caller's start is to the root (the
+time stepper extrapolates it from earlier levels).  A factor Newton builds
+itself serves the next chord steps when its iteration took the norm from r
+to r' with r' * (r'/r)**2 <= tol, i.e. when two more steps at that
+contraction would reach the tolerance; otherwise the next iteration
+factors again.  A chord trial that raises the norm, or whose residual
+signals "retry with a shorter step" by raising a designated exception
+type, is discarded with its factor.  Each iteration without a factor to
+chord on factors the exact Jacobian and halves the step until a step of
+size s lowers the norm to at most (1 - ARMIJO * s) times its old value
+without the retry signal (Armijo's rule), which handles
+positivity-constrained nonlinearities.  When MAX_HALVINGS halvings find no
+such step, the norm sits at its roundoff floor, and Newton stops instead
+of refactoring.
 """
 
 from __future__ import annotations
@@ -126,7 +133,8 @@ class NewtonResult:
 
 def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
            retryable: tuple = (), factor: Factor | None = None) -> NewtonResult:
-    """Newton iteration on residual(x) = 0, led by chord steps on ``factor``.
+    """Newton iteration on residual(x) = 0, with chord steps on ``factor``
+    and on the factors it builds (see the module docstring).
 
     ``retryable`` lists exception types that a residual evaluation may
     raise to reject a trial point; the line search then shortens the step.
@@ -139,8 +147,9 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
     r = np.asarray(residual(x), dtype=float)
     rnorm = float(np.linalg.norm(r))
     it = factorizations = 0
+    chord = factor is not None
     while rnorm > settings.tol and it < settings.max_iter:
-        if factor is not None and not factorizations:  # the caller's factor
+        if chord:
             try:
                 trial = x + factor.solve(-r)
                 r_trial = np.asarray(residual(trial), dtype=float)
@@ -148,7 +157,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
             except retryable:
                 rnorm_trial = np.inf
             if not CHORD_CONTRACTION * rnorm_trial <= rnorm:
-                factor = None  # too slow: stop reusing it
+                factor, chord = None, False  # too slow: stop reusing it
             if not rnorm_trial < rnorm:
                 continue  # rejected: x stays, no iteration spent
             accepted = (trial, r_trial, rnorm_trial)
@@ -170,6 +179,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                 rnorm_trial = float(np.linalg.norm(r_trial))
                 if rnorm_trial <= (1.0 - ARMIJO * scale) * rnorm:
                     accepted = (trial, r_trial, rnorm_trial)
+                    chord = rnorm_trial * (rnorm_trial / rnorm) ** 2 <= settings.tol
                     break
                 scale *= 0.5
             else:

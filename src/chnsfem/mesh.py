@@ -18,6 +18,12 @@ from scipy.special import roots_jacobi, roots_legendre
 #: highest quadrature degree served by :func:`quad_rule`
 MAX_QUAD_DEGREE = 20
 
+#: triangle e is of type e % TRIANGLE_TYPES: the lower (0) or the upper (1)
+#: triangle of its cell.  The triangles of one type are translates of
+#: triangle 0 or 1, so whatever depends only on a triangle's shape, such as
+#: its basis tabulation, is that triangle's
+TRIANGLE_TYPES = 2
+
 
 class UnsupportedDegreeError(ValueError):
     """Raised when no quadrature rule of the requested degree is shipped."""
@@ -41,11 +47,14 @@ class PeriodicTriMesh:
         Triangle 2*(i*n + j) is the lower triangle (a, b, c) of cell
         (i, j) and triangle 2*(i*n + j) + 1 its upper triangle (a, c, d),
         where a, b, c, d are the cell's corners counterclockwise from
-        (i*h, j*h).  Vertex i*n + j sits at (i*h, j*h).
+        (i*h, j*h).  Vertex i*n + j sits at (i*h, j*h).  So the triangle
+        types of :data:`TRIANGLE_TYPES` alternate.
     tri_coords : ndarray, shape (2*n*n, 3, 2)
         Unwrapped corner coordinates of each triangle.  Corners of cells
         touching the right/top faces have coordinates up to 1; the index
-        arrays identify them with the opposite face.
+        arrays identify them with the opposite face.  Being grid indices
+        times h, they make the triangles of one type bitwise translates
+        when n is a power of two, and to a few ulps otherwise.
     """
 
     n: int

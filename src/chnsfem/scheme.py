@@ -42,7 +42,7 @@ from .la import (
     lu_solve,
     newton,
 )
-from .mesh import PeriodicTriMesh
+from .mesh import TRIANGLE_TYPES, PeriodicTriMesh
 from .physics import MaterialModel, SplitValidityWarning
 
 STAR_OLD = "old"
@@ -243,12 +243,22 @@ def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
     return out
 
 
+def _by_type(per_element: np.ndarray) -> np.ndarray:
+    """A view of a per-element array, leading axis e, with the axes
+    (type, element of that type) in its place."""
+    shape = (-1, TRIANGLE_TYPES) + per_element.shape[1:]
+    return per_element.reshape(shape).swapaxes(0, 1)
+
+
 class Stepper:
     """Assembles and advances the coupled system on one fixed mesh, keeping
     the LU factor of each step for the next step's chord iteration and the
     current level's quadrature fields for the diagnostics and the next step.
     The current level is the one the last step returned, or the start state
-    whose fields were asked for, so a run evaluates every level once.
+    whose fields were asked for, so a run evaluates every level once.  The
+    fields of the last residual's vector also serve the Jacobian at that
+    vector and, once Newton returns it, the new level.  They are reused
+    only for that same array object, which Newton never changes in place.
 
     It also keeps the solution vectors of the last three levels of the run
     it is stepping, starting with the packed start state.  Each Newton solve
@@ -268,7 +278,6 @@ class Stepper:
         self.cfg = cfg
         self.ev1 = evaluator(spaces.scalar)
         self.ev2 = evaluator(spaces.velocity)
-        self.w = self.ev1.weights
         self.n1 = spaces.scalar.dof_count
         self.n2 = spaces.velocity.scalar_dof_count
 
@@ -281,11 +290,12 @@ class Stepper:
         self._scalar_rows = np.r_[0:3 * n1,
                                   self.off["pi"]:self.lam_index].reshape(4, n1)
 
-        # field -> (basis, its unknowns per element); each equation tests
-        # the field in its own slot of x, so this serves rows and columns
-        scalar = (self.ev1.basis, spaces.scalar.element_dof_table)
-        vector = (self.ev2.basis, spaces.velocity.element_dof_table)
-        self._local = {name: (basis, self.off[name] + dofs)
+        # field -> (per-type basis, its unknowns per element by type, shape
+        # (types, elements per type, nb)); each equation tests the field in
+        # its own slot of x, so this serves rows and columns
+        scalar = (self.ev1.type_basis, spaces.scalar.element_dof_table)
+        vector = (self.ev2.type_basis, spaces.velocity.element_dof_table)
+        self._local = {name: (basis, _by_type(self.off[name] + dofs))
                        for name, (basis, dofs) in zip(
                            self.off, (scalar, scalar, scalar, vector, vector, scalar))}
         # integrals of the scalar test functions, used by the multiplier
@@ -296,6 +306,7 @@ class Stepper:
         self._factor = None
         self._level = None  # (state, fields) of the current level
         self._history = None  # solution vectors up to the current level
+        self._last = None  # (x, fields) of the last residual
 
     # -- packing ---------------------------------------------------------
 
@@ -328,6 +339,12 @@ class Stepper:
         return quadrature_fields(self.ev1, self.ev2, x[self._scalar_rows],
                                  x[u1:u1 + 2 * self.n2])
 
+    def _fields_at(self, x: np.ndarray) -> dict:
+        """The last residual's fields if ``x`` is its vector, else fresh ones."""
+        if self._last is not None and self._last[0] is x:
+            return self._last[1]
+        return self.fields_from_vector(x)
+
     def fields_from_state(self, state: State) -> dict:
         """The fields of ``state``, kept for the current level: the level
         the last step returned or the state this was last called with.  Any
@@ -353,6 +370,7 @@ class Stepper:
                         step_index: int | None = None) -> np.ndarray:
         """Assemble the coupled residual at the guess vector ``x``."""
         new = self.fields_from_vector(x)
+        self._last = (x, new)
         self._check_positivity(new["t"], step_index)
         star = old_fields if self.cfg.star_rule == STAR_OLD else new
         lam = float(x[self.lam_index])
@@ -372,29 +390,44 @@ class Stepper:
     def jacobian_matrix(self, old_fields: dict, x: np.ndarray,
                         step_index: int | None = None) -> sp.csc_matrix:
         """Linearization of the residual at ``x``, exact to roundoff: one
-        complex-step evaluation of the kernels per channel."""
-        plain = self.fields_from_vector(x)
+        complex-step evaluation of the kernels per channel.  The element
+        blocks of each (equation, channel) pair take one dense product per
+        triangle type (mesh.TRIANGLE_TYPES): the derivative densities times
+        the type's table of weighted test and trial basis products."""
+        plain = self._fields_at(x)
         self._check_positivity(plain["t"], step_index)
         lam = float(x[self.lam_index])
+        weights = self.ev1.type_weights
 
-        rows_list, cols_list, vals_list = [], [], []
+        blocks = {}  # (test field, trial field) -> (types, elements, a*b)
         for key, trial_field, part in _CHANNELS:
             new = {**plain, key: plain[key] + 1j * STEP}
             star = old_fields if self.cfg.star_rule == STAR_OLD else new
             kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
-            trial, cols = self._local[trial_field]
-            for densities, (test, rows) in zip(kern.values(), self._local.values()):
-                rowpart = None  # sum_k w * d(density k)/d(channel) * test[k]
-                for k, d in enumerate(densities):
-                    if d is not None and np.any(d.imag):
-                        term = (self.w * d.imag / STEP)[..., None] * test[k]
-                        rowpart = term if rowpart is None else rowpart + term
-                if rowpart is None:
+            trial = self._local[trial_field][0][part]
+            for densities, test_field in zip(kern.values(), self._local):
+                ks = [k for k, d in enumerate(densities)
+                      if d is not None and np.any(d.imag)]
+                if not ks:
                     continue
-                block = np.einsum("eqa,eqb->eab", rowpart, trial[part])
-                rows_list.append(np.broadcast_to(rows[:, :, None], block.shape).ravel())
-                cols_list.append(np.broadcast_to(cols[:, None, :], block.shape).ravel())
-                vals_list.append(block.ravel())
+                # d(density k)/d(channel) by type, (types, elements, k*q),
+                # times w * test[k] * trial[part], (types, k*q, a*b)
+                deriv = np.stack([densities[k].imag for k in ks], axis=1) / STEP
+                deriv = _by_type(deriv.reshape(len(deriv), -1))
+                test = self._local[test_field][0][ks]
+                table = np.einsum("tq,ktqa,tqb->tkqab", weights, test, trial)
+                block = deriv @ table.reshape(len(table), deriv.shape[-1], -1)
+                pair = (test_field, trial_field)
+                blocks[pair] = block + blocks[pair] if pair in blocks else block
+
+        rows_list, cols_list, vals_list = [], [], []
+        for (test_field, trial_field), block in blocks.items():
+            rows = self._local[test_field][1][..., :, None]
+            cols = self._local[trial_field][1][..., None, :]
+            shape = np.broadcast_shapes(rows.shape, cols.shape)
+            rows_list.append(np.broadcast_to(rows, shape).ravel())
+            cols_list.append(np.broadcast_to(cols, shape).ravel())
+            vals_list.append(block.ravel())
 
         # multiplier column of the divergence rows and the pressure-mean row
         p1_rows = np.arange(self.n1)
@@ -428,7 +461,7 @@ class Stepper:
             result = newton(F, J, x0, self.cfg.newton,
                             retryable=(PositivityError,), factor=self._factor)
         except (NonconvergenceError, FactorizationError, PositivityError) as exc:
-            self._factor = self._level = self._history = None
+            self._factor = self._level = self._history = self._last = None
             norm = getattr(exc, "residual_norm", None)
             raise StepFailure(
                 f"time step at t = {old.time:.6g} failed: {exc}",
@@ -436,13 +469,13 @@ class Stepper:
 
         new_state, lam = self.unpack(result.x, old.time + self.cfg.tau)
         if new_state.min_nodal_theta <= 0.0:
-            self._factor = self._level = self._history = None
+            self._factor = self._level = self._history = self._last = None
             raise StepFailure(
                 f"nonpositive nodal inverse temperature "
                 f"{new_state.min_nodal_theta:.3e} after the step",
                 step_index=step_index, residual_norm=result.residual_norm)
         self._factor = result.factor
-        self._level = (new_state, self.fields_from_vector(result.x))
+        self._level = (new_state, self._fields_at(result.x))
         self._history = (*self._history[-2:], result.x)
         floor = self.model.split_theta_floor
         if floor is not None and new_state.min_nodal_theta <= floor + 1e-6:
@@ -500,7 +533,10 @@ def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
     dofs = spaces.scalar.element_dof_table
     n1 = spaces.scalar.dof_count
 
-    local_mass = np.einsum("eq,eqa,eqb->eab", ev.weights, ev.basis[0], ev.basis[0])
+    # triangle e has the mass matrix of its type, e % TRIANGLE_TYPES
+    N = ev.type_basis[0]
+    local_mass = np.tile(np.einsum("eq,eqa,eqb->eab", ev.type_weights, N, N),
+                         (len(dofs) // TRIANGLE_TYPES, 1, 1))
     rows = np.broadcast_to(dofs[:, :, None], local_mass.shape)
     cols = np.broadcast_to(dofs[:, None, :], local_mass.shape)
     mass = sp.coo_matrix((local_mass.ravel(), (rows.ravel(), cols.ravel())),

@@ -17,7 +17,7 @@ from chnsfem.fespace import (
     prolong,
     tabulate,
 )
-from chnsfem.mesh import build_uniform, quad_rule
+from chnsfem.mesh import TRIANGLE_TYPES, build_uniform, quad_rule
 
 
 def phi0(x, y):
@@ -304,3 +304,18 @@ def test_evaluator_is_built_once_per_space():
     assert ev.weights.shape[1] == len(quad_rule(QUAD_DEGREE).weights)
     # the basis array is the operator's entry array, not a copy
     assert np.shares_memory(ev.basis, ev.E.data)
+
+
+@pytest.mark.parametrize("family", [P1, P2_VECTOR])
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_every_element_has_its_types_table(family, n):
+    ev = evaluator(build_space(build_uniform(n), family))
+    ne = ev.shape[1]
+    types = np.arange(ne) % TRIANGLE_TYPES
+    assert ev.type_basis.shape == (3, TRIANGLE_TYPES) + ev.basis.shape[2:]
+    assert ev.type_weights.shape == (TRIANGLE_TYPES, ev.weights.shape[1])
+    assert np.array_equal(ev.basis, ev.type_basis[:, types])
+    assert np.array_equal(ev.weights, ev.type_weights[types])
+    # views of the tabulation, not new arrays
+    assert np.shares_memory(ev.type_basis, ev.basis)
+    assert np.shares_memory(ev.type_weights, ev.weights)

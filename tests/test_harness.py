@@ -215,10 +215,11 @@ def test_run_tabulates_each_space_at_most_once(monkeypatch):
 
 
 def test_run_evaluates_each_level_once(monkeypatch):
-    # one product with the scalar and one with the velocity evaluator per
-    # level, the initial one included, and per Newton residual or Jacobian,
-    # plus the initial projection's one
-    counts = {"fields": 0, "newton": 0}
+    # one product with the scalar and one with the velocity evaluator for
+    # the initial level and per Newton residual, plus the initial
+    # projection's one: the Jacobian and each new level reuse the fields of
+    # the residual at their vector
+    counts = {"fields": 0, "residual_vector": 0, "jacobian_matrix": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -229,10 +230,28 @@ def test_run_evaluates_each_level_once(monkeypatch):
     monkeypatch.setattr(fespace.Evaluator, "fields",
                         counting("fields", fespace.Evaluator.fields))
     for name in ("residual_vector", "jacobian_matrix"):
-        monkeypatch.setattr(Stepper, name, counting("newton", getattr(Stepper, name)))
+        monkeypatch.setattr(Stepper, name, counting(name, getattr(Stepper, name)))
     result = run(RunConfig(base=4, final_time=5e-4, tau0=2.5e-4))
     assert len(result.states) == 3
-    assert counts["fields"] == 1 + 2 * (len(result.states) + counts["newton"])
+    assert counts["jacobian_matrix"] >= 1
+    assert counts["fields"] == 1 + 2 * (1 + counts["residual_vector"])
+
+
+def test_run_builds_one_jacobian_and_one_factor(monkeypatch):
+    # Newton chords on the factor it builds in step 1 for the rest of the
+    # run, also at a long step that takes several iterations
+    built = []
+    jacobian = Stepper.jacobian_matrix
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        return jacobian(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stepper, "jacobian_matrix", counted)
+    result = run(RunConfig(base=8, final_time=3e-2, tau0=1e-2))
+    assert len(result.newton_stats) == 3
+    assert len(built) == 1
+    assert sum(s.factorizations for s in result.newton_stats) == 1
 
 
 def test_error_norms_reuse_the_fine_runs_evaluators(monkeypatch):

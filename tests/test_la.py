@@ -234,9 +234,29 @@ def test_stale_factor_increasing_the_residual_is_abandoned():
     res = newton(r, J, x0, settings, factor=stale)
     full = newton(r, J, x0, settings)
     assert abs(res.x[0]) <= 1e-12
-    # the rejected trial costs no iteration: the rest is plain Newton
+    # the rejected trial costs no iteration and no factor: the rest is the
+    # plain solve, chord steps on its own factors included
     assert res.iterations == full.iterations
-    assert res.factorizations == full.factorizations == full.iterations
+    assert res.factorizations == full.factorizations
+
+
+def test_plain_solve_chords_on_its_fresh_factor():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 5)) + 6 * np.eye(5)
+    b = rng.standard_normal(5)
+    built = []
+
+    def r(x):
+        return A @ x + 0.5 * np.tanh(x) - b
+
+    def J(x):
+        built.append(x.copy())
+        return sp.csc_matrix(A + np.diag(0.5 / np.cosh(x) ** 2))
+
+    settings = NewtonSettings(tol=1e-12, max_iter=30)
+    res = newton(r, J, np.zeros(5), settings)
+    assert res.residual_norm <= settings.tol
+    assert res.factorizations == len(built) < res.iterations
 
 
 def test_settings_validation():

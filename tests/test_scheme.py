@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from chnsfem import fespace
@@ -12,10 +13,13 @@ from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
 from chnsfem.mesh import build_uniform
 from chnsfem.physics import SplitValidityWarning, default_model
 from chnsfem.scheme import (
+    _CHANNELS,
+    STEP,
     PositivityError,
     StepFailure,
     Stepper,
     StepperConfig,
+    _kernels,
     build_spaces,
     initial_state,
 )
@@ -114,7 +118,7 @@ def test_quadrature_saturation(setup8, model, monkeypatch):
     s6 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
     monkeypatch.setattr(fespace, "QUAD_DEGREE", 12)
     s12 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
-    assert s12.w.shape[1] > s6.w.shape[1]
+    assert s12.ev1.weights.shape[1] > s6.ev1.weights.shape[1]
     r6 = s6.residual_vector(s6.fields_from_state(state), s6.pack(state))
     r12 = s12.residual_vector(s12.fields_from_state(state), s12.pack(state))
     assert np.abs(r6 - r12).max() <= 1e-10
@@ -183,6 +187,61 @@ def test_multiplier_column_is_p1_load_vector(setup4, model):
     # the multiplier column and mean row touch nothing else
     assert np.abs(np.delete(col, np.arange(off_pi, off_pi + n1))).max() == 0.0
     assert np.abs(np.delete(row, np.arange(off_pi, off_pi + n1))).max() == 0.0
+
+
+def _per_element_jacobian(stepper, old_fields, x):
+    """The Jacobian assembled element by element: each (equation, channel)
+    block contracts the derivative densities with every element's own
+    weights, test basis and trial basis."""
+    ev1, ev2 = stepper.ev1, stepper.ev2
+    scalar = (ev1.basis, stepper.spaces.scalar.element_dof_table)
+    vector = (ev2.basis, stepper.spaces.velocity.element_dof_table)
+    local = {name: (basis, stepper.off[name] + dofs)
+             for name, (basis, dofs) in zip(
+                 stepper.off, (scalar, scalar, scalar, vector, vector, scalar))}
+    plain = stepper.fields_from_vector(x)
+    lam = float(x[stepper.lam_index])
+    rows, cols, vals = [], [], []
+    for key, trial_field, part in _CHANNELS:
+        new = {**plain, key: plain[key] + 1j * STEP}
+        star = old_fields if stepper.cfg.star_rule == "old" else new
+        kern = _kernels(new, old_fields, star, lam, stepper.model, stepper.cfg.tau)
+        trial, trial_dofs = local[trial_field]
+        for densities, (test, test_dofs) in zip(kern.values(), local.values()):
+            ks = [k for k, d in enumerate(densities)
+                  if d is not None and np.any(d.imag)]
+            if not ks:
+                continue
+            block = sum(np.einsum("eq,eqa,eqb->eab", ev1.weights * densities[k].imag
+                                  / STEP, test[k], trial[part]) for k in ks)
+            rows.append(np.broadcast_to(test_dofs[:, :, None], block.shape).ravel())
+            cols.append(np.broadcast_to(trial_dofs[:, None, :], block.shape).ravel())
+            vals.append(block.ravel())
+    pi_rows = stepper.off["pi"] + np.arange(stepper.n1)
+    lam_rows = np.full(stepper.n1, stepper.lam_index)
+    rows += [pi_rows, lam_rows]
+    cols += [lam_rows, pi_rows]
+    vals += [stepper.p1_load, stepper.p1_load]
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(stepper.size, stepper.size)).tocsc()
+
+
+@pytest.mark.parametrize("star_rule", ["old", "new"])
+@pytest.mark.parametrize("tau", [1e-2, 1e-6])
+@pytest.mark.parametrize("setup", ["setup4", "setup8"])
+def test_jacobian_by_type_matches_the_per_element_assembly(request, model, setup,
+                                                           tau, star_rule):
+    mesh, spaces, state = request.getfixturevalue(setup)
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=tau, star_rule=star_rule))
+    old_fields = stepper.fields_from_state(state)
+    rng = np.random.default_rng(2)
+    x = stepper.pack(state) * (1.0 + 1e-3 * rng.standard_normal(stepper.size))
+    J = stepper.jacobian_matrix(old_fields, x)
+    ref = _per_element_jacobian(stepper, old_fields, x)
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.abs(J.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
 def test_jacobian_traced_peak_memory(model):
