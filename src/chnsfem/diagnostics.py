@@ -87,10 +87,11 @@ def _dissipation(new: dict, old: dict, w: np.ndarray, model: MaterialModel,
 
     gm = np.stack([new["mx"], new["my"]])
     gt = np.stack([new["tx"], new["ty"]])
-    quad = np.einsum("eq,seq,st,teq->", w, gm, model.L11, gm)
-    quad -= 2.0 * np.einsum("eq,seq,st,teq->", w, gm, model.L12, gt)
-    quad += np.einsum("eq,seq,st,teq->", w, gt, model.L22, gt)
-    return float(viscous + quad)
+    # the mobility form at each point of the rule, summed over the triangles
+    quad = np.einsum("seq,st,teq->q", gm, model.L11, gm)
+    quad -= 2.0 * np.einsum("seq,st,teq->q", gm, model.L12, gt)
+    quad += np.einsum("seq,st,teq->q", gt, model.L22, gt)
+    return float(viscous + w @ quad)
 
 
 def state_functionals(state: State, model: MaterialModel

@@ -2,9 +2,9 @@
 
 Provides degree-of-freedom maps that respect the periodic identification,
 basis tabulation at quadrature points, the per-space evaluator that
-evaluates and assembles through one sparse operator, nodal interpolation,
-point evaluation, exact nested prolongation and the skew-symmetric
-convection form.
+evaluates and assembles through one basis table per triangle type, nodal
+interpolation, point evaluation, exact nested prolongation and the
+skew-symmetric convection form.
 
 DOF ordering is deterministic: vertices first (the mesh's lexicographic
 vertex order), then edge midpoints sorted lexicographically by their
@@ -15,11 +15,9 @@ DOF ``k``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import TRIANGLE_TYPES, PeriodicTriMesh, QuadRule, locate, quad_rule
 
@@ -34,12 +32,6 @@ _FAMILIES = (P1, P1_MEANFREE, P2, P2_VECTOR)
 #: trilinear form share
 QUAD_DEGREE = 6
 
-#: largest mesh (subdivisions per axis) the evaluators can index: their
-#: operators use int32 indices, and the P2 one stores 3 parts x 2n^2
-#: triangles x nq points x 6 basis functions entries
-MAX_SUBDIVISIONS = math.isqrt(np.iinfo(np.int32).max
-                              // (3 * 2 * len(quad_rule(QUAD_DEGREE).weights) * 6))
-
 
 @dataclass(frozen=True, eq=False)
 class FunctionSpace:
@@ -47,7 +39,7 @@ class FunctionSpace:
     family: str
     dof_count: int
     #: per-triangle scalar DOF indices, shape (num_triangles, 3 or 6); int32,
-    #: like the column indices of the evaluator's operator
+    #: like the indices of the sparse matrices assembled from it
     element_dof_table: np.ndarray
     #: coordinates of the scalar interpolation nodes, shape (scalar_dofs, 2)
     node_coords: np.ndarray
@@ -74,25 +66,6 @@ class FeFunction:
             raise ValueError(
                 f"coefficient vector of length {self.coefficients.shape} does "
                 f"not match dof count {self.space.dof_count}")
-
-    def copy(self) -> "FeFunction":
-        return FeFunction(self.space, self.coefficients.copy())
-
-
-@dataclass(frozen=True, eq=False)
-class Tabulation:
-    """Basis data at the quadrature points of every triangle.
-
-    ``N[q, b]`` are scalar basis values on the reference element (identical
-    for all triangles), ``grads[e, q, b, :]`` the physical gradients and
-    ``weights[e, q]`` the quadrature weights scaled by the Jacobian
-    determinant, so ``sum(weights * f)`` integrates ``f`` over the domain.
-    """
-
-    rule: QuadRule
-    N: np.ndarray
-    grads: np.ndarray
-    weights: np.ndarray
 
 
 def _p1_values(bary: np.ndarray) -> np.ndarray:
@@ -158,8 +131,17 @@ def build_space(mesh: PeriodicTriMesh, family: str) -> FunctionSpace:
                          num_components=ncomp, scalar_dof_count=scalar_dofs)
 
 
-def tabulate(space: FunctionSpace, rule: QuadRule) -> Tabulation:
-    """Tabulate scalar basis values and physical gradients at all points."""
+def tabulate(space: FunctionSpace, rule: QuadRule) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate the basis at the points of the first triangle of each type
+    (mesh.TRIANGLE_TYPES).
+
+    Returns ``(basis, weights)``.  ``basis[k, t, q, b]`` is part ``k``
+    (value, x- or y-derivative) of local basis function ``b`` at point ``q``
+    of triangle ``t``, shape (3, TRIANGLE_TYPES, nq, nb).  ``weights[q]`` is
+    the rule's weight times the Jacobian determinant h*h, which both types
+    share bitwise, so ``sum(weights * f)`` over the points of every triangle
+    integrates ``f`` over the domain.
+    """
     bary = rule.points
     if space.family in (P1, P1_MEANFREE):
         N = _p1_values(bary)
@@ -168,58 +150,54 @@ def tabulate(space: FunctionSpace, rule: QuadRule) -> Tabulation:
         N = _p2_values(bary)
         ref_grads = _p2_ref_grads(bary)
 
-    corners = space.mesh.tri_coords
+    corners = space.mesh.tri_coords[:TRIANGLE_TYPES]
     j1 = corners[:, 1, :] - corners[:, 0, :]
     j2 = corners[:, 2, :] - corners[:, 0, :]
     det = j1[:, 0] * j2[:, 1] - j1[:, 1] * j2[:, 0]
-    # inverse-transpose Jacobians, shape (ne, 2, 2)
-    jinv_t = np.empty((corners.shape[0], 2, 2))
+    # inverse-transpose Jacobians, shape (types, 2, 2)
+    jinv_t = np.empty((TRIANGLE_TYPES, 2, 2))
     jinv_t[:, 0, 0] = j2[:, 1]
     jinv_t[:, 0, 1] = -j1[:, 1]
     jinv_t[:, 1, 0] = -j2[:, 0]
     jinv_t[:, 1, 1] = j1[:, 0]
     jinv_t /= det[:, None, None]
 
-    grads = np.einsum("est,qbt->eqbs", jinv_t, ref_grads)
-    weights = rule.weights[None, :] * det[:, None]
-    return Tabulation(rule=rule, N=N, grads=grads, weights=weights)
+    basis = np.empty((3, TRIANGLE_TYPES) + N.shape)
+    basis[0] = N
+    basis[1:] = np.einsum("tsr,qbr->stqb", jinv_t, ref_grads)
+    return basis, rule.weights * det[0]
 
 
 class Evaluator:
-    """The tabulation of one space under one rule and its sparse operator.
+    """Field evaluation at the quadrature points of one space under one
+    rule, and assembly against its test functions.
 
-    ``basis[k, e, q, b]`` is part ``k`` (value, x- or y-derivative) of
-    local basis function ``b`` at point ``q`` of triangle ``e``.  It is the
-    entry array of ``E`` (CSR, ``3*ne*nq`` by ``scalar_dof_count``), whose
-    row ``(k*ne + e)*nq + q`` maps scalar DOF coefficients to part ``k`` of
-    the field at that point.  ``E @ c`` evaluates a field and ``E.T``
-    assembles against the test functions, so every integral in assembly,
-    diagnostics and error norms uses the same rule.
-
-    ``type_basis[k, t]`` and ``type_weights[t]`` are views of ``basis`` and
-    ``weights`` at triangle ``t``, the first of its type (mesh.TRIANGLE_TYPES):
-    the table of every triangle of type ``t`` (bitwise when n is a power of
-    two, to a few ulps otherwise), from which matrices are assembled with
-    one dense product per type.
+    ``basis`` and ``weights`` are :func:`tabulate`'s tables, one per
+    triangle type: the triangles of one type are translates of each other,
+    so they share it.  ``dofs[t, j]`` holds the scalar DOFs of the j-th
+    triangle of type ``t``.  :meth:`fields` gathers the coefficients through
+    ``dofs`` and takes one dense product per basis part; :meth:`integrate`,
+    its transpose, multiplies back by the weighted table and adds each
+    triangle's entries into its DOFs.  Assembly, diagnostics and error
+    norms all go through this one tabulation, so every integral uses the
+    same rule.
     """
 
     def __init__(self, space: FunctionSpace, rule: QuadRule):
-        tab = tabulate(space, rule)
-        ne, nq, nb, _ = tab.grads.shape
-        self.basis = np.empty((3, ne, nq, nb))
-        self.basis[0] = tab.N
-        self.basis[1:] = np.moveaxis(tab.grads, -1, 0)
-        self.weights = tab.weights
-        self.type_basis = self.basis[:, :TRIANGLE_TYPES]
-        self.type_weights = self.weights[:TRIANGLE_TYPES]
-        self.shape = (3, ne, nq)
+        self.basis, self.weights = tabulate(space, rule)
+        self.dofs = np.ascontiguousarray(self.by_type(space.element_dof_table))
+        self.shape = (3, space.mesh.num_triangles, len(self.weights))
         self.num_components = space.num_components
-        dofs = space.element_dof_table
-        indices = np.broadcast_to(dofs[None, :, None, :], self.basis.shape)
-        indptr = np.arange(0, self.basis.size + 1, nb, dtype=np.int32)
-        self.E = sp.csr_matrix((self.basis.ravel(), indices.ravel(), indptr),
-                               shape=(3 * ne * nq, space.scalar_dof_count))
-        self.Et = self.E.T  # a CSC view sharing E's arrays
+        self.scalar_dof_count = space.scalar_dof_count
+
+    @staticmethod
+    def by_type(per_triangle: np.ndarray, axis: int = 0) -> np.ndarray:
+        """A view of ``per_triangle`` with the axes (type, triangle of that
+        type) in place of its triangle axis ``axis``: triangle e is the
+        (e // TRIANGLE_TYPES)-th of type e % TRIANGLE_TYPES."""
+        shape = per_triangle.shape
+        split = shape[:axis] + (-1, TRIANGLE_TYPES) + shape[axis + 1:]
+        return per_triangle.reshape(split).swapaxes(axis, axis + 1)
 
     def fields(self, coeffs: np.ndarray) -> np.ndarray:
         """Values and derivatives at the points, shape ``lead + (3, ne, nq)``
@@ -227,22 +205,26 @@ class Evaluator:
         adds a component axis before the ``3``."""
         coeffs = np.asarray(coeffs)
         lead = coeffs.shape[:-1] + ((2,) if self.num_components == 2 else ())
-        # one product per scalar function, written in place: faster than
-        # scipy's multi-vector product, and every field comes out contiguous
-        rows = coeffs.reshape(-1, self.E.shape[1])
-        out = np.empty((len(rows), self.E.shape[0]))
-        for o, r in zip(out, rows):
-            o[:] = self.E @ r
+        rows = coeffs.reshape(-1, self.scalar_dof_count)
+        local = rows[:, self.dofs]  # (functions, types, triangles, nb)
+        out = np.empty((len(rows),) + self.shape)
+        out_by_type = self.by_type(out, axis=2)
+        for k, table in enumerate(self.basis):
+            np.matmul(local, table.swapaxes(1, 2), out=out_by_type[:, k])
         return out.reshape(lead + self.shape)
 
     def integrate(self, densities: np.ndarray) -> np.ndarray:
         """The transpose of :meth:`fields`: entry i is the weighted sum of
         ``densities[0]*N_i + densities[1]*dN_i/dx + densities[2]*dN_i/dy``
         over all points, for every leading index."""
-        d = np.asarray(densities) * self.weights
+        d = np.asarray(densities)
         lead = d.shape[:-3 - (self.num_components == 2)]
-        rows = d.reshape(-1, self.E.shape[0])
-        return np.stack([self.Et @ r for r in rows]).reshape(lead + (-1,))
+        d = self.by_type(d.reshape((-1,) + self.shape), axis=2)
+        weighted = self.weights[:, None] * self.basis
+        local = sum(d[:, k] @ weighted[k] for k in range(3))
+        dofs = self.dofs.ravel()
+        return np.stack([np.bincount(dofs, r, self.scalar_dof_count)
+                         for r in local.reshape(len(local), -1)]).reshape(lead + (-1,))
 
     def squared_norms(self, coeffs: np.ndarray) -> tuple[float, float]:
         """(squared L2 norm, squared H1 seminorm) of one function."""

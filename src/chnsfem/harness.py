@@ -23,11 +23,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, initial_record, record
-from .fespace import MAX_SUBDIVISIONS, FeFunction, evaluator, prolong
+from .fespace import FeFunction, evaluator, prolong
 from .la import NewtonSettings
 from .mesh import PeriodicTriMesh, build_uniform
 from .physics import MaterialModel, default_model
 from .scheme import (
+    MAX_SUBDIVISIONS,
     NewtonStats,
     SpaceSet,
     State,

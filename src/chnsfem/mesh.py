@@ -21,7 +21,8 @@ MAX_QUAD_DEGREE = 20
 #: triangle e is of type e % TRIANGLE_TYPES: the lower (0) or the upper (1)
 #: triangle of its cell.  The triangles of one type are translates of
 #: triangle 0 or 1, so whatever depends only on a triangle's shape, such as
-#: its basis tabulation, is that triangle's
+#: its basis tabulation, is that triangle's.  Both types have the Jacobian
+#: determinant h*h, bitwise, so they share their quadrature weights
 TRIANGLE_TYPES = 2
 
 

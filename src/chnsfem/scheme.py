@@ -18,6 +18,7 @@ symmetric in structure.  Unknown ordering: [phi | mu | theta | u | pi | lam].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ from .la import (
     lu_solve,
     newton,
 )
-from .mesh import TRIANGLE_TYPES, PeriodicTriMesh
+from .mesh import PeriodicTriMesh
 from .physics import MaterialModel, SplitValidityWarning
 
 STAR_OLD = "old"
@@ -51,6 +52,12 @@ STAR_NEW = "new"
 # complex step of the Newton linearization: a power of two, so linear terms
 # come out exact (Squire & Trapp, SIAM Rev. 40, 1998)
 STEP = 2.0**-100
+
+#: largest mesh (subdivisions per axis) the solver can index.  The Jacobian
+#: is its largest sparse matrix, with 470 entries per mesh cell: 8 P1-P1
+#: blocks of 7, 12 P1-P2 blocks of 19, 4 P2-P2 blocks of 46 and 2 for the
+#: multiplier.  SuperLU takes C-int (int32) indices, so 470 n^2 < 2^31.
+MAX_SUBDIVISIONS = math.isqrt(np.iinfo(np.intc).max // 470)
 
 # pointwise channels of the linearization: (field key, trial field, basis
 # part: 0 value, 1 d/dx, 2 d/dy)
@@ -243,13 +250,6 @@ def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
     return out
 
 
-def _by_type(per_element: np.ndarray) -> np.ndarray:
-    """A view of a per-element array, leading axis e, with the axes
-    (type, element of that type) in its place."""
-    shape = (-1, TRIANGLE_TYPES) + per_element.shape[1:]
-    return per_element.reshape(shape).swapaxes(0, 1)
-
-
 class Stepper:
     """Assembles and advances the coupled system on one fixed mesh, keeping
     the LU factor of each step for the next step's chord iteration and the
@@ -293,9 +293,9 @@ class Stepper:
         # field -> (per-type basis, its unknowns per element by type, shape
         # (types, elements per type, nb)); each equation tests the field in
         # its own slot of x, so this serves rows and columns
-        scalar = (self.ev1.type_basis, spaces.scalar.element_dof_table)
-        vector = (self.ev2.type_basis, spaces.velocity.element_dof_table)
-        self._local = {name: (basis, _by_type(self.off[name] + dofs))
+        scalar = (self.ev1.basis, self.ev1.dofs)
+        vector = (self.ev2.basis, self.ev2.dofs)
+        self._local = {name: (basis, self.off[name] + dofs)
                        for name, (basis, dofs) in zip(
                            self.off, (scalar, scalar, scalar, vector, vector, scalar))}
         # integrals of the scalar test functions, used by the multiplier
@@ -397,7 +397,7 @@ class Stepper:
         plain = self._fields_at(x)
         self._check_positivity(plain["t"], step_index)
         lam = float(x[self.lam_index])
-        weights = self.ev1.type_weights
+        weights = self.ev1.weights
 
         blocks = {}  # (test field, trial field) -> (types, elements, a*b)
         for key, trial_field, part in _CHANNELS:
@@ -413,9 +413,9 @@ class Stepper:
                 # d(density k)/d(channel) by type, (types, elements, k*q),
                 # times w * test[k] * trial[part], (types, k*q, a*b)
                 deriv = np.stack([densities[k].imag for k in ks], axis=1) / STEP
-                deriv = _by_type(deriv.reshape(len(deriv), -1))
+                deriv = self.ev1.by_type(deriv.reshape(len(deriv), -1))
                 test = self._local[test_field][0][ks]
-                table = np.einsum("tq,ktqa,tqb->tkqab", weights, test, trial)
+                table = np.einsum("q,ktqa,tqb->tkqab", weights, test, trial)
                 block = deriv @ table.reshape(len(table), deriv.shape[-1], -1)
                 pair = (test_field, trial_field)
                 blocks[pair] = block + blocks[pair] if pair in blocks else block
@@ -530,15 +530,15 @@ def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
     u = interpolate(spaces.velocity, u0)
 
     ev = evaluator(spaces.scalar)
-    dofs = spaces.scalar.element_dof_table
     n1 = spaces.scalar.dof_count
 
-    # triangle e has the mass matrix of its type, e % TRIANGLE_TYPES
-    N = ev.type_basis[0]
-    local_mass = np.tile(np.einsum("eq,eqa,eqb->eab", ev.type_weights, N, N),
-                         (len(dofs) // TRIANGLE_TYPES, 1, 1))
-    rows = np.broadcast_to(dofs[:, :, None], local_mass.shape)
-    cols = np.broadcast_to(dofs[:, None, :], local_mass.shape)
+    # every triangle has the mass matrix of its type
+    N = ev.basis[0]
+    type_mass = np.einsum("q,tqa,tqb->tab", ev.weights, N, N)
+    shape = ev.dofs.shape + N.shape[-1:]  # (types, triangles, nb, nb)
+    local_mass = np.broadcast_to(type_mass[:, None], shape)
+    rows = np.broadcast_to(ev.dofs[..., :, None], shape)
+    cols = np.broadcast_to(ev.dofs[..., None, :], shape)
     mass = sp.coo_matrix((local_mass.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(n1, n1)).tocsc()
 

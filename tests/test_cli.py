@@ -309,7 +309,7 @@ def test_mesh_beyond_index_range_exit_code(tmp_path, capsys, monkeypatch,
     path = write_config(tmp_path, text)
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "8 * 2**40" in err and "2229" in err
+    assert "8 * 2**40" in err and "2137" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -77,8 +77,8 @@ def test_quadratic_form_terms_individually_nonnegative(short_run, model):
     w = ev1.weights
     gm = ev1.fields(new.mu.coefficients)[1:]
     tn, *gt = ev1.fields(new.theta.coefficients)
-    term_mu = np.einsum("eq,seq,st,teq->", w, gm, model.L11, gm)
-    term_theta = np.einsum("eq,seq,st,teq->", w, gt, model.L22, gt)
+    term_mu = np.einsum("q,seq,st,teq->", w, gm, model.L11, gm)
+    term_theta = np.einsum("q,seq,st,teq->", w, gt, model.L22, gt)
     assert term_mu >= 0.0
     assert term_theta >= 0.0
     gun = ev2.fields(new.u.coefficients)[:, 1:]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from per_element import per_element_tabulation
 
+from chnsfem import fespace
 from chnsfem.fespace import (
     P1,
     P1_MEANFREE,
@@ -74,15 +77,19 @@ def test_p2_numbering(n):
 @pytest.mark.parametrize("family", [P1, P2])
 def test_partition_of_unity_and_gradient_sum(family):
     space = build_space(build_uniform(3), family)
-    tab = tabulate(space, quad_rule(6))
-    assert np.abs(tab.N.sum(axis=1) - 1.0).max() <= 1e-14
-    assert np.abs(tab.grads.sum(axis=2)).max() <= 1e-12
+    for basis in (tabulate(space, quad_rule(6))[0],
+                  per_element_tabulation(space, quad_rule(6))[0]):
+        assert np.abs(basis[0].sum(axis=-1) - 1.0).max() <= 1e-14
+        assert np.abs(basis[1:].sum(axis=-1)).max() <= 1e-12
 
 
 def test_weights_integrate_domain():
     space = build_space(build_uniform(5), P1)
-    tab = tabulate(space, quad_rule(4))
-    assert abs(tab.weights.sum() - 1.0) <= 1e-13
+    basis, weights = tabulate(space, quad_rule(4))
+    # one row of weights serves every triangle
+    assert weights.shape == (basis.shape[2],)
+    assert abs(weights.sum() * space.mesh.num_triangles - 1.0) <= 1e-13
+    assert abs(per_element_tabulation(space, quad_rule(4))[1].sum() - 1.0) <= 1e-13
 
 
 def test_interpolate_constant():
@@ -267,55 +274,77 @@ def test_fefunction_length_check():
 
 @pytest.mark.parametrize("family", [P1, P2_VECTOR])
 def test_evaluator_operator_matches_tabulation(family):
-    # E @ c is the N/grads contraction per element, and E.T @ g the
-    # per-element scatter of the tested densities
+    # fields are the per-element contraction of each triangle's own table,
+    # and integrate the per-element scatter of the tested densities
     rng = np.random.default_rng(11)
-    space = build_space(build_uniform(4), family)
-    ev = evaluator(space)
-    tab = tabulate(space, quad_rule(6))
-    dofs = space.element_dof_table
-    ns = space.scalar_dof_count
-    shape = tab.weights.shape
-    coeffs = rng.standard_normal(space.dof_count)
-    fields = ev.fields(coeffs).reshape(-1, 3, *shape)
-    for c in range(space.num_components):
-        local = coeffs[c * ns:(c + 1) * ns][dofs]
-        got = (ev.E @ coeffs[c * ns:(c + 1) * ns]).reshape(3, *shape)
-        vals = np.einsum("qb,eb->eq", tab.N, local)
-        grads = np.einsum("eqbs,eb->seq", tab.grads, local)
-        for f in (got, fields[c]):
-            assert np.abs(f[0] - vals).max() <= 1e-13
-            assert np.abs(f[1:] - grads).max() <= 1e-13
+    for n in (3, 4):
+        space = build_space(build_uniform(n), family)
+        ev = evaluator(space)
+        basis, weights = per_element_tabulation(space, quad_rule(QUAD_DEGREE))
+        dofs = space.element_dof_table
+        ns = space.scalar_dof_count
+        shape = weights.shape
+        coeffs = rng.standard_normal(space.dof_count)
+        fields = ev.fields(coeffs).reshape(-1, 3, *shape)
+        for c in range(space.num_components):
+            local = coeffs[c * ns:(c + 1) * ns][dofs]
+            expected = np.einsum("keqb,eb->keq", basis, local)
+            assert np.abs(fields[c] - expected).max() <= 1e-13
 
-    g = rng.standard_normal((3,) + shape)
-    scatter = np.zeros(ns)
-    np.add.at(scatter, dofs, np.einsum("eq,qb->eb", g[0], tab.N)
-              + np.einsum("seq,eqbs->eb", g[1:], tab.grads))
-    assert np.abs(ev.E.T @ g.ravel() - scatter).max() <= 1e-13
-    integrated = ev.integrate(np.stack([g / tab.weights] * space.num_components))
-    assert np.abs(integrated - np.tile(scatter, space.num_components)).max() <= 1e-13
+        g = rng.standard_normal((3,) + shape)
+        scatter = np.zeros(ns)
+        np.add.at(scatter, dofs, np.einsum("keq,keqb->eb", g, basis))
+        integrated = ev.integrate(np.stack([g / weights] * space.num_components))
+        assert np.abs(integrated - np.tile(scatter, space.num_components)).max() <= 1e-13
 
 
-def test_evaluator_is_built_once_per_space():
+def test_evaluator_is_built_once_per_space(monkeypatch):
     space = build_space(build_uniform(4), P1)
+    tabulated = []
+    monkeypatch.setattr(fespace, "tabulate",
+                        lambda *args: tabulated.append(args) or tabulate(*args))
     ev = evaluator(space)
     assert evaluator(space) is ev
+    assert len(tabulated) == 1
     assert evaluator(build_space(space.mesh, P1)) is not ev
-    assert ev.weights.shape[1] == len(quad_rule(QUAD_DEGREE).weights)
-    # the basis array is the operator's entry array, not a copy
-    assert np.shares_memory(ev.basis, ev.E.data)
+    assert len(tabulated) == 2
+    assert ev.weights.shape == (len(quad_rule(QUAD_DEGREE).weights),)
 
 
 @pytest.mark.parametrize("family", [P1, P2_VECTOR])
-@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("n", [1, 3, 4, 16])
 def test_every_element_has_its_types_table(family, n):
-    ev = evaluator(build_space(build_uniform(n), family))
-    ne = ev.shape[1]
+    space = build_space(build_uniform(n), family)
+    ev = evaluator(space)
+    basis, weights = per_element_tabulation(space, quad_rule(QUAD_DEGREE))
+    ne, nq = weights.shape
     types = np.arange(ne) % TRIANGLE_TYPES
-    assert ev.type_basis.shape == (3, TRIANGLE_TYPES) + ev.basis.shape[2:]
-    assert ev.type_weights.shape == (TRIANGLE_TYPES, ev.weights.shape[1])
-    assert np.array_equal(ev.basis, ev.type_basis[:, types])
-    assert np.array_equal(ev.weights, ev.type_weights[types])
-    # views of the tabulation, not new arrays
-    assert np.shares_memory(ev.type_basis, ev.basis)
-    assert np.shares_memory(ev.type_weights, ev.weights)
+    assert ev.basis.shape == (3, TRIANGLE_TYPES, nq, basis.shape[-1])
+    assert ev.weights.shape == (nq,)
+    assert ev.shape == (3, ne, nq)
+    # the j-th triangle of type t is triangle j * TRIANGLE_TYPES + t
+    assert np.array_equal(ev.dofs[types, np.arange(ne) // TRIANGLE_TYPES],
+                          space.element_dof_table)
+    if n & (n - 1) == 0:  # grid coordinates i*h are exact
+        assert np.array_equal(basis, ev.basis[:, types])
+        assert np.array_equal(weights, np.broadcast_to(ev.weights, weights.shape))
+    else:  # to a few ulps, the rounding of i*h
+        eps = np.finfo(float).eps
+        assert np.abs(basis - ev.basis[:, types]).max() <= 4 * eps * np.abs(basis).max()
+        assert np.abs(weights - ev.weights).max() <= 4 * eps * weights.max()
+
+
+def test_evaluator_holds_no_array_beyond_one_entry_per_local_dof():
+    # the tables are per triangle type: nothing the evaluator keeps grows
+    # like triangles x points, sparse or dense
+    for family in (P1, P2_VECTOR):
+        space = build_space(build_uniform(16), family)
+        ev = evaluator(space)
+        limit = space.element_dof_table.size
+        for name, value in vars(ev).items():
+            if sp.issparse(value):
+                value = value.tocsr()
+                sizes = [value.data.size, value.indices.size, value.indptr.size]
+            else:
+                sizes = [np.size(value)]
+            assert max(sizes) <= limit, name

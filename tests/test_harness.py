@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chnsfem import fespace
+from chnsfem import fespace, scheme
 from chnsfem.fespace import prolong
 from chnsfem.harness import (
     ErrorRow,
@@ -91,14 +91,15 @@ def test_config_validation():
 
 
 def test_config_rejects_a_mesh_beyond_the_index_range():
-    # the P2 evaluator stores 3 x 2n^2 x 12 x 6 entries behind int32 indices
-    assert fespace.MAX_SUBDIVISIONS == 2229
-    assert 432 * 2229**2 <= np.iinfo(np.int32).max < 432 * 2230**2
-    for kwargs in ({"level": 40}, {"base": 2230}, {"base": 1115, "level": 1}):
-        with pytest.raises(ValueError, match="2229"):
+    # the Jacobian stores 470 n^2 entries, and SuperLU indexes them with C
+    # ints (test_scheme pins the count)
+    assert scheme.MAX_SUBDIVISIONS == 2137
+    assert 470 * 2137**2 <= np.iinfo(np.intc).max < 470 * 2138**2
+    for kwargs in ({"level": 40}, {"base": 2138}, {"base": 1069, "level": 1}):
+        with pytest.raises(ValueError, match="2137"):
             RunConfig(**kwargs)
-    assert RunConfig(base=2229).mesh_subdivisions == 2229
-    assert RunConfig(base=557, level=2).mesh_subdivisions == 2228
+    assert RunConfig(base=2137).mesh_subdivisions == 2137
+    assert RunConfig(base=534, level=2).mesh_subdivisions == 2136
 
 
 def _fake_refined(result: RunResult) -> RunResult:

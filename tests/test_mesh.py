@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from per_element import per_element_tabulation
 
 from chnsfem.fespace import P1, build_space, tabulate
 from chnsfem.mesh import (
     MAX_QUAD_DEGREE,
+    TRIANGLE_TYPES,
     UnsupportedDegreeError,
     build_uniform,
     quad_rule,
@@ -118,19 +120,43 @@ def test_refine_composition():
 
 
 def test_element_geometry_uniform_area():
-    # the Jacobian-scaled weights of each triangle sum to its area h^2/2
+    # the Jacobian-scaled weights of each triangle sum to its area h^2/2,
+    # and so does the one row of weights that every triangle shares
     mesh = build_uniform(2)
-    weights = tabulate(build_space(mesh, P1), quad_rule(6)).weights
+    space = build_space(mesh, P1)
+    weights = per_element_tabulation(space, quad_rule(6))[1]
     assert np.abs(weights.sum(axis=1) - mesh.h**2 / 2).max() <= 1e-15
+    assert abs(tabulate(space, quad_rule(6))[1].sum() - mesh.h**2 / 2) <= 1e-15
 
 
 def test_affine_map_hits_triangle_corners():
-    # tabulate's gradients invert the map from the reference corners to
-    # tri_coords: the P1 interpolant of x (of y) has gradient e_x (e_y)
+    # the gradients invert the map from the reference corners to tri_coords:
+    # the P1 interpolant of x (of y) has gradient e_x (e_y), on every
+    # triangle from its own corners and on each type's first triangle from
+    # tabulate's table
     mesh = build_uniform(4)
-    grads = tabulate(build_space(mesh, P1), quad_rule(1)).grads
-    jac = np.einsum("eqbs,ebt->eqts", grads, mesh.tri_coords)
+    space = build_space(mesh, P1)
+    grads = per_element_tabulation(space, quad_rule(1))[0][1:]
+    jac = np.einsum("seqb,ebt->eqts", grads, mesh.tri_coords)
     assert np.abs(jac - np.eye(2)).max() <= 1e-13
+    type_grads = tabulate(space, quad_rule(1))[0][1:]
+    jac = np.einsum("stqb,tbr->tqrs", type_grads, mesh.tri_coords[:TRIANGLE_TYPES])
+    assert np.abs(jac - np.eye(2)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_every_triangle_is_a_translate_of_its_types_triangle(n):
+    # the corners of triangle e minus those of triangle e % TRIANGLE_TYPES
+    # are one shift, so both share a table: bitwise when n is a power of
+    # two, to a few ulps of the grid coordinates i*h otherwise
+    mesh = build_uniform(n)
+    types = np.arange(mesh.num_triangles) % TRIANGLE_TYPES
+    shift = mesh.tri_coords - mesh.tri_coords[types]
+    spread = np.abs(shift - shift[:, :1]).max()
+    if n & (n - 1) == 0:
+        assert spread == 0.0
+    else:
+        assert spread <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("degree", range(1, MAX_QUAD_DEGREE + 1))

@@ -5,15 +5,17 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from per_element import per_element_tabulation
 from scipy.sparse.linalg import splu
 
 from chnsfem import fespace
-from chnsfem.fespace import evaluator
+from chnsfem.fespace import QUAD_DEGREE, FeFunction, evaluator
 from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
-from chnsfem.mesh import build_uniform
+from chnsfem.mesh import build_uniform, quad_rule
 from chnsfem.physics import SplitValidityWarning, default_model
 from chnsfem.scheme import (
     _CHANNELS,
+    MAX_SUBDIVISIONS,
     STEP,
     PositivityError,
     StepFailure,
@@ -118,7 +120,7 @@ def test_quadrature_saturation(setup8, model, monkeypatch):
     s6 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
     monkeypatch.setattr(fespace, "QUAD_DEGREE", 12)
     s12 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
-    assert s12.ev1.weights.shape[1] > s6.ev1.weights.shape[1]
+    assert len(s12.ev1.weights) > len(s6.ev1.weights)
     r6 = s6.residual_vector(s6.fields_from_state(state), s6.pack(state))
     r12 = s12.residual_vector(s12.fields_from_state(state), s12.pack(state))
     assert np.abs(r6 - r12).max() <= 1e-10
@@ -129,7 +131,7 @@ def test_positivity_violation_detected(setup4, model):
     cfg = StepperConfig(tau=1e-3, theta_floor=1e-8)
     stepper = Stepper(mesh, spaces, model, cfg)
     bad = dataclasses.replace(state)
-    bad.theta = state.theta.copy()
+    bad.theta = FeFunction(spaces.scalar, state.theta.coefficients.copy())
     bad.theta.coefficients[3] = -0.5
     with pytest.raises(PositivityError):
         stepper.residual_vector(stepper.fields_from_state(state),
@@ -192,10 +194,13 @@ def test_multiplier_column_is_p1_load_vector(setup4, model):
 def _per_element_jacobian(stepper, old_fields, x):
     """The Jacobian assembled element by element: each (equation, channel)
     block contracts the derivative densities with every element's own
-    weights, test basis and trial basis."""
-    ev1, ev2 = stepper.ev1, stepper.ev2
-    scalar = (ev1.basis, stepper.spaces.scalar.element_dof_table)
-    vector = (ev2.basis, stepper.spaces.velocity.element_dof_table)
+    weights, test basis and trial basis (tests/per_element.py)."""
+    rule = quad_rule(QUAD_DEGREE)
+    spaces = stepper.spaces
+    basis1, weights = per_element_tabulation(spaces.scalar, rule)
+    basis2, _ = per_element_tabulation(spaces.velocity, rule)
+    scalar = (basis1, spaces.scalar.element_dof_table)
+    vector = (basis2, spaces.velocity.element_dof_table)
     local = {name: (basis, stepper.off[name] + dofs)
              for name, (basis, dofs) in zip(
                  stepper.off, (scalar, scalar, scalar, vector, vector, scalar))}
@@ -212,7 +217,7 @@ def _per_element_jacobian(stepper, old_fields, x):
                   if d is not None and np.any(d.imag)]
             if not ks:
                 continue
-            block = sum(np.einsum("eq,eqa,eqb->eab", ev1.weights * densities[k].imag
+            block = sum(np.einsum("eq,eqa,eqb->eab", weights * densities[k].imag
                                   / STEP, test[k], trial[part]) for k in ks)
             rows.append(np.broadcast_to(test_dofs[:, :, None], block.shape).ravel())
             cols.append(np.broadcast_to(trial_dofs[:, None, :], block.shape).ravel())
@@ -242,6 +247,19 @@ def test_jacobian_by_type_matches_the_per_element_assembly(request, model, setup
     assert np.array_equal(J.indptr, ref.indptr)
     assert np.array_equal(J.indices, ref.indices)
     assert np.abs(J.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_jacobian_stores_470_entries_per_cell(model, n):
+    # MAX_SUBDIVISIONS rests on this count: the largest n whose Jacobian
+    # SuperLU can index with C ints
+    mesh = build_uniform(n)
+    spaces = build_spaces(mesh)
+    state = initial_state(mesh, spaces, model, phi0, theta0, u0)
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
+    J = stepper.jacobian_matrix(stepper.fields_from_state(state), stepper.pack(state))
+    assert J.nnz == 470 * n**2
+    assert 470 * MAX_SUBDIVISIONS**2 <= np.iinfo(np.intc).max < 470 * (MAX_SUBDIVISIONS + 1)**2
 
 
 def test_jacobian_traced_peak_memory(model):
@@ -445,7 +463,7 @@ def test_stepped_state_is_read_only(setup4, model):
         for name in ("phi", "mu", "theta", "u", "pi"):
             with pytest.raises(ValueError):
                 getattr(level, name).coefficients[0] = 1.0
-    edited = new.theta.copy()
+    edited = FeFunction(spaces.scalar, new.theta.coefficients.copy())
     edited.coefficients[0] = 1.0
     assert edited.coefficients[0] == 1.0
 
