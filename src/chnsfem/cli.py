@@ -247,13 +247,6 @@ def cmd_validate(cfg: RunConfig, out: Output) -> int:
     return 0 if report.passed else 1
 
 
-def _out_of_memory(cfg: RunConfig) -> int:
-    n = cfg.mesh_subdivisions
-    print(f"error: out of memory; the finest mesh is {n}x{n} ([mesh] base = "
-          f"{cfg.base}, level = {cfg.level})", file=sys.stderr)
-    return 2
-
-
 def _output_directory(out: Output) -> Path | None:
     """The output directory, created if missing; None after a message if
     it cannot be."""
@@ -270,17 +263,7 @@ def cmd_run(cfg: RunConfig, out: Output) -> int:
     outdir = _output_directory(out)
     if outdir is None:
         return 2
-    try:
-        result = run(cfg)
-    except (StepFailure, StructureViolationError) as exc:
-        step = getattr(exc, "step_index", None)
-        print(f"error: solver failed at step {step}: {exc}", file=sys.stderr)
-        return 1
-    except FactorizationError as exc:
-        print(f"error: linear solver failed: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        return _out_of_memory(cfg)
+    result = run(cfg)
     write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
     _write_snapshots(out, result)
     tau, n_steps = result.config.resolve_tau()
@@ -299,14 +282,7 @@ def cmd_converge(cfg: RunConfig, out: Output) -> int:
     outdir = _output_directory(out)
     if outdir is None:
         return 2
-    try:
-        table, _ = convergence_study(cfg, num_levels)
-    except (StepFailure, StructureViolationError, FactorizationError) as exc:
-        step = getattr(exc, "step_index", None)
-        print(f"error: solver failed (step {step}): {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        return _out_of_memory(cfg)
+    table, _ = convergence_study(cfg, num_levels)
     write_eoc_tables(outdir, table)
     print(format_error_table(table), end="")
     final = table.final_combined_eoc()
@@ -353,7 +329,18 @@ def main(argv=None) -> int:
 
     handlers = {"validate": cmd_validate, "run": cmd_run,
                 "converge": cmd_converge}
-    return handlers[args.command](cfg, out)
+    try:
+        return handlers[args.command](cfg, out)
+    except (StepFailure, StructureViolationError, FactorizationError) as exc:
+        step = getattr(exc, "step_index", None)
+        where = "" if step is None else f" at step {step}"
+        print(f"error: solver failed{where}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        n = cfg.mesh_subdivisions
+        print(f"error: out of memory; the finest mesh is {n}x{n} ([mesh] base "
+              f"= {cfg.base}, level = {cfg.level})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
-"""Periodic P1 and P2 spaces on criss-cross torus meshes.
+"""The two periodic spaces of the scheme on criss-cross torus meshes.
 
-Provides degree-of-freedom maps that respect the periodic identification,
-basis tabulation at quadrature points, the per-space evaluator that
-evaluates and assembles through one basis table per triangle type, nodal
+P1 holds the phase field, the chemical potential, the inverse temperature
+and the pressure; vector P2 holds the velocity (Taylor-Hood).  Provides
+degree-of-freedom maps that respect the periodic identification, basis
+tabulation at quadrature points, the per-space evaluator that evaluates
+and assembles through one basis table per triangle type, nodal
 interpolation, point evaluation, exact nested prolongation and the
 skew-symmetric convection form.
 
 DOF ordering is deterministic: vertices first (the mesh's lexicographic
 vertex order), then edge midpoints sorted lexicographically by their
-wrapped coordinates.  Vector-valued P2 coefficients are component-blocked,
+wrapped coordinates.  Vector P2 coefficients are component-blocked,
 ``coefficients[c*num_scalar_dofs + k]`` holding component ``c`` at scalar
 DOF ``k``.
 """
@@ -22,11 +24,9 @@ import numpy as np
 from .mesh import TRIANGLE_TYPES, PeriodicTriMesh, QuadRule, locate, quad_rule
 
 P1 = "P1-scalar"
-P1_MEANFREE = "P1-scalar-meanfree"
-P2 = "P2-scalar"
 P2_VECTOR = "P2-vector-2D"
 
-_FAMILIES = (P1, P1_MEANFREE, P2, P2_VECTOR)
+_FAMILIES = (P1, P2_VECTOR)
 
 #: degree of the one rule that assembly, diagnostics, norms and the
 #: trilinear form share
@@ -105,7 +105,7 @@ def build_space(mesh: PeriodicTriMesh, family: str) -> FunctionSpace:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
     nv = mesh.num_vertices
-    if family in (P1, P1_MEANFREE):
+    if family == P1:
         return FunctionSpace(mesh=mesh, family=family, dof_count=nv,
                              element_dof_table=mesh.triangles.astype(np.int32),
                              node_coords=mesh.vertices.copy(),
@@ -123,12 +123,11 @@ def build_space(mesh: PeriodicTriMesh, family: str) -> FunctionSpace:
     table[:, 3:] = nv + edge_ids.reshape(-1, 3)
     edge_coords = np.column_stack(np.divmod(keys, n2)) / n2
     scalar_dofs = nv + len(keys)
-    ncomp = 2 if family == P2_VECTOR else 1
     return FunctionSpace(mesh=mesh, family=family,
-                         dof_count=ncomp * scalar_dofs,
+                         dof_count=2 * scalar_dofs,
                          element_dof_table=table,
                          node_coords=np.vstack([mesh.vertices, edge_coords]),
-                         num_components=ncomp, scalar_dof_count=scalar_dofs)
+                         num_components=2, scalar_dof_count=scalar_dofs)
 
 
 def tabulate(space: FunctionSpace, rule: QuadRule) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +142,7 @@ def tabulate(space: FunctionSpace, rule: QuadRule) -> tuple[np.ndarray, np.ndarr
     integrates ``f`` over the domain.
     """
     bary = rule.points
-    if space.family in (P1, P1_MEANFREE):
+    if space.family == P1:
         N = _p1_values(bary)
         ref_grads = _p1_ref_grads(bary)
     else:
@@ -263,7 +262,7 @@ def evaluate(f: FeFunction, points: np.ndarray) -> np.ndarray:
     """
     space = f.space
     tri, bary = locate(space.mesh, points)
-    basis = _p1_values(bary) if space.family in (P1, P1_MEANFREE) else _p2_values(bary)
+    basis = _p1_values(bary) if space.family == P1 else _p2_values(bary)
     dofs = space.element_dof_table[tri]
     values = np.sum(basis * f.coefficients.reshape(space.num_components, -1)[:, dofs],
                     axis=-1)

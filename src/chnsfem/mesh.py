@@ -5,6 +5,9 @@ i.e. a flat 2-torus.  Meshes are criss-cross: each cell of an n-by-n grid is
 split along the diagonal from its lower-left to its upper-right corner.  The
 fixed diagonal direction makes refinement nested and keeps every derived
 degree-of-freedom ordering reproducible between runs.
+
+The quadrature rules are the symmetric Gauss rules of degrees 1 to 6 with
+positive weights; the solver integrates everything with the degree-6 one.
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
-
-#: highest quadrature degree served by :func:`quad_rule`
-MAX_QUAD_DEGREE = 20
 
 #: triangle e is of type e % TRIANGLE_TYPES: the lower (0) or the upper (1)
 #: triangle of its cell.  The triangles of one type are translates of
@@ -24,10 +23,6 @@ MAX_QUAD_DEGREE = 20
 #: its basis tabulation, is that triangle's.  Both types have the Jacobian
 #: determinant h*h, bitwise, so they share their quadrature weights
 TRIANGLE_TYPES = 2
-
-
-class UnsupportedDegreeError(ValueError):
-    """Raised when no quadrature rule of the requested degree is shipped."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,38 +162,14 @@ _SYMMETRIC_RULES = {
 }
 
 
-def _conical_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi x Gauss-Legendre product rule on the collapsed square.
-
-    Exact for total degree 2m-1 with m points per direction; all weights
-    positive by construction.
-    """
-    m = (degree + 2) // 2
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
-    xg, wg = roots_legendre(m)
-    u = 0.5 * (xj + 1.0)     # weight (1-u) direction
-    v = 0.5 * (xg + 1.0)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    x = uu.ravel()
-    y = (vv * (1.0 - uu)).ravel()
-    w = (np.outer(wj / 4.0, wg / 2.0)).ravel()
-    points = np.column_stack([1.0 - x - y, x, y])
-    return points, w
-
-
 def quad_rule(degree: int) -> QuadRule:
-    """Return a rule exact for all bivariate polynomials up to ``degree``."""
-    if degree < 1:
-        raise ValueError(f"quadrature degree must be >= 1, got {degree}")
-    if degree > MAX_QUAD_DEGREE:
-        raise UnsupportedDegreeError(
-            f"no quadrature rule of degree {degree}; highest shipped degree "
-            f"is {MAX_QUAD_DEGREE}")
-    lookup = degree if degree != 3 else 4
-    if lookup in _SYMMETRIC_RULES:
-        points, weights = _symmetric_rule(_SYMMETRIC_RULES[lookup])
-    else:
-        points, weights = _conical_rule(degree)
+    """Return a rule exact for all bivariate polynomials up to ``degree``,
+    one of 1 to 6."""
+    lookup = 4 if degree == 3 else degree
+    if lookup not in _SYMMETRIC_RULES:
+        raise ValueError(f"no quadrature rule of degree {degree}; shipped "
+                         f"degrees are 1 to 6")
+    points, weights = _symmetric_rule(_SYMMETRIC_RULES[lookup])
     return QuadRule(points=points, weights=weights, degree=degree)
 
 

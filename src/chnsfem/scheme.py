@@ -27,7 +27,6 @@ import scipy.sparse as sp
 
 from .fespace import (
     P1,
-    P1_MEANFREE,
     P2_VECTOR,
     Evaluator,
     FeFunction,
@@ -89,15 +88,15 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SpaceSet:
+    """P1 for phi, mu, theta and the pressure; vector P2 for the velocity."""
+
     scalar: FunctionSpace
     velocity: FunctionSpace
-    pressure: FunctionSpace
 
 
 def build_spaces(mesh: PeriodicTriMesh) -> SpaceSet:
     return SpaceSet(scalar=build_space(mesh, P1),
-                    velocity=build_space(mesh, P2_VECTOR),
-                    pressure=build_space(mesh, P1_MEANFREE))
+                    velocity=build_space(mesh, P2_VECTOR))
 
 
 @dataclass(eq=False)
@@ -329,7 +328,7 @@ class Stepper:
             mu=FeFunction(self.spaces.scalar, x[off["mu"]:off["mu"] + n1].copy()),
             theta=FeFunction(self.spaces.scalar, x[off["theta"]:off["theta"] + n1].copy()),
             u=FeFunction(self.spaces.velocity, x[off["u1"]:off["u1"] + 2 * n2].copy()),
-            pi=FeFunction(self.spaces.pressure, x[off["pi"]:off["pi"] + n1].copy()),
+            pi=FeFunction(self.spaces.scalar, x[off["pi"]:off["pi"] + n1].copy()),
         ), float(x[self.lam_index])
 
     # -- field evaluation -------------------------------------------------
@@ -547,6 +546,6 @@ def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
                                model.gamma * p[1], model.gamma * p[2]]))
 
     mu = FeFunction(spaces.scalar, lu_solve(mass, b))
-    pi = FeFunction(spaces.pressure, np.zeros(n1))
+    pi = FeFunction(spaces.scalar, np.zeros(n1))
     return State(time=0.0, phi=phi, mu=mu, theta=theta, u=u, pi=pi)
 

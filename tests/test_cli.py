@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ from chnsfem.cli import (
     write_vtk_snapshot,
 )
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 BASE_CONFIG = """\
@@ -273,13 +277,26 @@ def test_output_flag_overrides_directory(tmp_path):
     assert not configured.exists()
 
 
-def test_run_solver_failure_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_run_solver_failure_exit_code(tmp_path, capsys, command):
     # an absurd positivity floor makes the very first assembly abort
-    text = BASE_CONFIG.format(outdir=tmp_path / "out") + \
-        "\n[scheme]\ntheta_floor = 2.0\n"
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "level = 0", "level = 1") + "\n[scheme]\ntheta_floor = 2.0\n"
     path = write_config(tmp_path, text)
-    assert main(["run", "--config", str(path)]) == 1
-    assert "step" in capsys.readouterr().err
+    assert main([command, "--config", str(path)]) == 1
+    assert "error: solver failed at step 1: " in capsys.readouterr().err
+
+
+def test_step_below_the_residual_floor_fails(tmp_path, capsys):
+    # 1/tau = 1e300 is finite, so the step is accepted; its Newton solve
+    # fails on the first step, as the README's short-step paragraph says
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "base = 8", "base = 4").replace(
+        "tau = 1e-4\nT = 1e-3", "tau = 1e-300\nT = 1e-300")
+    path = write_config(tmp_path, text)
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", str(path)]) == 1
+    assert "error: solver failed at step 1: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "converge"])
@@ -355,3 +372,18 @@ def test_seventeen_digits_round_trip():
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
+
+
+def test_run_leaves_scipy_special_unloaded(tmp_path):
+    # the shipped quadrature rules are tabulated, so neither the package
+    # nor a run imports scipy.special
+    path = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path / "out")
+                        .replace("base = 8", "base = 4"))
+    code = ("import sys, chnsfem; from chnsfem.cli import main; "
+            f"assert main(['run', '--config', {str(path)!r}]) == 0; "
+            "assert 'scipy.special' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

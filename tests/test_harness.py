@@ -117,7 +117,7 @@ def _fake_refined(result: RunResult) -> RunResult:
                      mu=prolong(state.mu, spaces.scalar),
                      theta=prolong(state.theta, spaces.scalar),
                      u=prolong(state.u, spaces.velocity),
-                     pi=prolong(state.pi, spaces.pressure))
+                     pi=prolong(state.pi, spaces.scalar))
 
     states = []
     for n, cs in enumerate(result.states):

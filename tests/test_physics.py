@@ -136,19 +136,11 @@ def test_validate_flags_indefinite_mobility(model):
     bad = MaterialModel(
         gamma=model.gamma, psi=model.psi, psi_vex=model.psi_vex,
         psi_cav=model.psi_cav, dphi_psi_vex=model.dphi_psi_vex,
-        dphi_psi_cav=model.dphi_psi_cav, dtheta_psi=model.dtheta_psi,
-        e=model.e, s=model.s, eta=model.eta,
+        dphi_psi_cav=model.dphi_psi_cav, e=model.e, s=model.s, eta=model.eta,
         L11=1e-2, L12=0.2, L22=1e-2, split_theta_floor=0.5)
     report = validate_model(bad)
     by_name = {c.name: c for c in report.checks}
     assert not by_name["A3 diffusion matrix SPD"].passed
-
-
-def test_validate_rejects_bad_ranges(model):
-    with pytest.raises(ValueError):
-        validate_model(model, phi_range=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        validate_model(model, theta_range=(-1.0, 1.0))
 
 
 def test_mobility_block_normalization():
@@ -157,5 +149,5 @@ def test_mobility_block_normalization():
     with pytest.raises(ValueError):
         MaterialModel(gamma=1.0, psi=m.psi, psi_vex=m.psi_vex, psi_cav=m.psi_cav,
                       dphi_psi_vex=m.dphi_psi_vex, dphi_psi_cav=m.dphi_psi_cav,
-                      dtheta_psi=m.dtheta_psi, e=m.e, s=m.s, eta=m.eta,
+                      e=m.e, s=m.s, eta=m.eta,
                       L11=np.array([[1.0, 0.5], [0.0, 1.0]]), L12=0.0, L22=1.0)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from per_element import per_element_tabulation
+from per_element import conical_rule, per_element_tabulation
 from scipy.sparse.linalg import splu
 
 from chnsfem import fespace
@@ -73,6 +73,15 @@ def setup8(model):
 # -- initial state --------------------------------------------------------
 
 
+def test_pressure_lives_in_the_scalar_space(setup4, model):
+    # two spaces: P1 for phi, mu, theta and pi, vector P2 for u
+    mesh, spaces, state = setup4
+    assert [f.name for f in dataclasses.fields(spaces)] == ["scalar", "velocity"]
+    new, _ = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3)).step(state, 1)
+    assert state.pi.space is spaces.scalar
+    assert new.pi.space is spaces.scalar
+
+
 def test_initial_state_constant_data(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
@@ -119,6 +128,7 @@ def test_quadrature_saturation(setup8, model, monkeypatch):
     mesh, spaces, state = setup8
     s6 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
     monkeypatch.setattr(fespace, "QUAD_DEGREE", 12)
+    monkeypatch.setattr(fespace, "quad_rule", conical_rule)
     s12 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
     assert len(s12.ev1.weights) > len(s6.ev1.weights)
     r6 = s6.residual_vector(s6.fields_from_state(state), s6.pack(state))
