@@ -287,7 +287,8 @@ def cmd_converge(cfg: RunConfig, out: Output) -> int:
     print(format_error_table(table), end="")
     final = table.final_combined_eoc()
     if final is None:
-        print("no convergence order available (single error row)")
+        print(f"no convergence order from a single error row: eoc_gate "
+              f"{out.eoc_gate:g} not applied (it needs [mesh] level >= 2)")
         return 0
     print(f"final combined-error order: {final:.2f} (gate {out.eoc_gate:g})")
     return 0 if final >= out.eoc_gate else 1

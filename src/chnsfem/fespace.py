@@ -184,6 +184,7 @@ class Evaluator:
 
     def __init__(self, space: FunctionSpace, rule: QuadRule):
         self.basis, self.weights = tabulate(space, rule)
+        self._weighted = self.weights[:, None] * self.basis  # integrate's table
         self.dofs = np.ascontiguousarray(self.by_type(space.element_dof_table))
         self.shape = (3, space.mesh.num_triangles, len(self.weights))
         self.num_components = space.num_components
@@ -219,11 +220,13 @@ class Evaluator:
         d = np.asarray(densities)
         lead = d.shape[:-3 - (self.num_components == 2)]
         d = self.by_type(d.reshape((-1,) + self.shape), axis=2)
-        weighted = self.weights[:, None] * self.basis
-        local = sum(d[:, k] @ weighted[k] for k in range(3))
-        dofs = self.dofs.ravel()
-        return np.stack([np.bincount(dofs, r, self.scalar_dof_count)
-                         for r in local.reshape(len(local), -1)]).reshape(lead + (-1,))
+        local = d[:, 0] @ self._weighted[0]
+        local += d[:, 1] @ self._weighted[1]
+        local += d[:, 2] @ self._weighted[2]
+        # one bincount for all rows: row r's DOFs are shifted by r * n
+        n = self.scalar_dof_count
+        dofs = self.dofs.ravel() + n * np.arange(len(local))[:, None]
+        return np.bincount(dofs.ravel(), local.ravel(), n * len(local)).reshape(lead + (-1,))
 
     def squared_norms(self, coeffs: np.ndarray) -> tuple[float, float]:
         """(squared L2 norm, squared H1 seminorm) of one function."""

@@ -4,8 +4,9 @@ Systems stay desk-scale (a few times 1e4 unknowns), so a sparse direct LU
 beats any iterative setup here.  It factors A with each row scaled by its
 largest entry, in a minimum-degree order of the pattern of A + A^T, with
 threshold pivoting (DIAG_PIVOT_THRESH); on the saddle-point Jacobians that
-cuts the fill about 3x against COLAMD with partial pivoting.  Every solve
-is still checked against the unscaled A.
+cuts the fill about 3x against COLAMD with partial pivoting.  The scaled
+matrix shares A's index arrays, so scaling allocates one array of entries
+and no copy of A.  Every solve is still checked against the unscaled A.
 
 Factorization dominates, so Newton takes chord steps (Kelley, Solving
 Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2) on the factor
@@ -86,14 +87,19 @@ class NewtonSettings:
 class Factor:
     """Sparse LU factor of the row-equilibrated A with threshold pivoting;
     ``solve`` guarantees ||A x - b|| / max(1, ||b||) <= LU_RESIDUAL_BOUND or
-    raises FactorizationError (also for exactly singular matrices)."""
+    raises FactorizationError (also for exactly singular matrices).  The
+    row maxima and the scaled entries are read off A's CSC arrays, and the
+    scaled matrix keeps A's ``indices`` and ``indptr``."""
 
     def __init__(self, A):
-        self.A = sp.csc_matrix(A)
-        rmax = abs(self.A).max(axis=1).toarray().ravel()
+        self.A = A = sp.csc_matrix(A)
+        rmax = np.zeros(A.shape[0])
+        np.maximum.at(rmax, A.indices, np.abs(A.data))
         self.row_scale = 1.0 / np.where(rmax > 0, rmax, 1.0)
-        # multiply keeps the Jacobian's stored zeros; dropping them adds fill
-        scaled = self.A.multiply(self.row_scale[:, None]).tocsc()
+        # on A's own pattern, with the Jacobian's stored zeros (dropping them adds fill)
+        data = self.row_scale[A.indices]
+        data *= A.data
+        scaled = sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
         try:
             self.lu = splu(scaled, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=DIAG_PIVOT_THRESH)

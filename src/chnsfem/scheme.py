@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -289,14 +290,9 @@ class Stepper:
         self._scalar_rows = np.r_[0:3 * n1,
                                   self.off["pi"]:self.lam_index].reshape(4, n1)
 
-        # field -> (per-type basis, its unknowns per element by type, shape
-        # (types, elements per type, nb)); each equation tests the field in
-        # its own slot of x, so this serves rows and columns
-        scalar = (self.ev1.basis, self.ev1.dofs)
-        vector = (self.ev2.basis, self.ev2.dofs)
-        self._local = {name: (basis, self.off[name] + dofs)
-                       for name, (basis, dofs) in zip(
-                           self.off, (scalar, scalar, scalar, vector, vector, scalar))}
+        # field -> evaluator of its space (basis and element DOFs by type);
+        # each equation tests the field in its own slot of x
+        self._ev = dict(zip(self.off, (self.ev1,) * 3 + (self.ev2,) * 2 + (self.ev1,)))
         # integrals of the scalar test functions, used by the multiplier
         # column and the pressure-mean row
         unit = np.zeros(self.ev1.shape)
@@ -389,22 +385,37 @@ class Stepper:
     def jacobian_matrix(self, old_fields: dict, x: np.ndarray,
                         step_index: int | None = None) -> sp.csc_matrix:
         """Linearization of the residual at ``x``, exact to roundoff: one
-        complex-step evaluation of the kernels per channel.  The element
-        blocks of each (equation, channel) pair take one dense product per
-        triangle type (mesh.TRIANGLE_TYPES): the derivative densities times
-        the type's table of weighted test and trial basis products."""
+        complex-step evaluation of the kernels per channel.  It is built as
+        column blocks, one per trial field in the order of the unknowns
+        (:meth:`_field_columns`), so only one field's element blocks are
+        alive at a time; the multiplier column is the last block."""
         plain = self._fields_at(x)
         self._check_positivity(plain["t"], step_index)
         lam = float(x[self.lam_index])
-        weights = self.ev1.weights
+        columns = [self._field_columns(trial_field, channels, plain, old_fields, lam)
+                   for trial_field, channels in groupby(_CHANNELS, key=lambda c: c[1])]
+        # multiplier column of the divergence rows
+        columns.append(sp.csc_matrix(
+            (self.p1_load, self.off["pi"] + np.arange(self.n1), [0, self.n1]),
+            shape=(self.size, 1)))
+        return sp.hstack(columns, format="csc")
 
-        blocks = {}  # (test field, trial field) -> (types, elements, a*b)
-        for key, trial_field, part in _CHANNELS:
+    def _field_columns(self, trial_field: str, channels, plain: dict,
+                       old_fields: dict, lam: float) -> sp.csc_matrix:
+        """The Jacobian's columns of one trial field, from its channels.  The
+        element blocks of each test field take one dense product per triangle
+        type (mesh.TRIANGLE_TYPES): the derivative densities times the type's
+        table of weighted test and trial basis products.  One COO-to-CSC
+        conversion sums them; the pi columns also hold the pressure-mean row."""
+        trial_ev = self._ev[trial_field]
+        weights = self.ev1.weights
+        blocks = {}  # test field -> (types, elements, a*b)
+        for key, _, part in channels:
             new = {**plain, key: plain[key] + 1j * STEP}
             star = old_fields if self.cfg.star_rule == STAR_OLD else new
             kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
-            trial = self._local[trial_field][0][part]
-            for densities, test_field in zip(kern.values(), self._local):
+            trial = trial_ev.basis[part]
+            for densities, test_field in zip(kern.values(), self._ev):
                 ks = [k for k, d in enumerate(densities)
                       if d is not None and np.any(d.imag)]
                 if not ks:
@@ -413,35 +424,30 @@ class Stepper:
                 # times w * test[k] * trial[part], (types, k*q, a*b)
                 deriv = np.stack([densities[k].imag for k in ks], axis=1) / STEP
                 deriv = self.ev1.by_type(deriv.reshape(len(deriv), -1))
-                test = self._local[test_field][0][ks]
+                test = self._ev[test_field].basis[ks]
                 table = np.einsum("q,ktqa,tqb->tkqab", weights, test, trial)
                 block = deriv @ table.reshape(len(table), deriv.shape[-1], -1)
-                pair = (test_field, trial_field)
-                blocks[pair] = block + blocks[pair] if pair in blocks else block
+                blocks[test_field] = (block + blocks[test_field]
+                                      if test_field in blocks else block)
+            del kern, densities  # before the next channel's kernels allocate
 
-        rows_list, cols_list, vals_list = [], [], []
-        for (test_field, trial_field), block in blocks.items():
-            rows = self._local[test_field][1][..., :, None]
-            cols = self._local[trial_field][1][..., None, :]
-            shape = np.broadcast_shapes(rows.shape, cols.shape)
-            rows_list.append(np.broadcast_to(rows, shape).ravel())
-            cols_list.append(np.broadcast_to(cols, shape).ravel())
-            vals_list.append(block.ravel())
-
-        # multiplier column of the divergence rows and the pressure-mean row
-        p1_rows = np.arange(self.n1)
-        rows_list.append(self.off["pi"] + p1_rows)
-        cols_list.append(np.full(self.n1, self.lam_index))
-        vals_list.append(self.p1_load)
-        rows_list.append(np.full(self.n1, self.lam_index))
-        cols_list.append(self.off["pi"] + p1_rows)
-        vals_list.append(self.p1_load)
-
-        mat = sp.coo_matrix(
-            (np.concatenate(vals_list),
-             (np.concatenate(rows_list), np.concatenate(cols_list))),
-            shape=(self.size, self.size))
-        return mat.tocsc()
+        rows, cols, vals = [], [], []
+        for test_field, block in blocks.items():
+            test_dofs = self._ev[test_field].dofs[..., :, None]
+            trial_dofs = trial_ev.dofs[..., None, :]
+            shape = np.broadcast_shapes(test_dofs.shape, trial_dofs.shape)
+            rows.append((self.off[test_field] + np.broadcast_to(test_dofs, shape)).ravel())
+            cols.append(np.broadcast_to(trial_dofs, shape).ravel())
+            vals.append(block.ravel())
+        if trial_field == "pi":
+            rows.append(np.full(self.n1, self.lam_index, dtype=np.intc))
+            cols.append(np.arange(self.n1, dtype=np.intc))
+            vals.append(self.p1_load)
+        coo = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.size, trial_ev.scalar_dof_count))
+        del blocks, block, rows, cols, vals  # before the conversion allocates
+        return coo.tocsc()
 
     # -- stepping -----------------------------------------------------------
 

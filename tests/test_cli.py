@@ -362,6 +362,16 @@ eoc_gate = 50.0
     assert main(["converge", "--config", str(path)]) == 1
 
 
+def test_converge_at_level_one_does_not_apply_the_gate(tmp_path, capsys):
+    # two levels give one error row and no order: an unreachable gate
+    # passes, and the output says that it was not applied
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "level = 0", "level = 1").replace("base = 8", "base = 4") + "eoc_gate = 99\n"
+    path = write_config(tmp_path, text)
+    assert main(["converge", "--config", str(path)]) == 0
+    assert "eoc_gate 99 not applied" in capsys.readouterr().out
+
+
 def test_seventeen_digits_round_trip():
     from chnsfem.cli import _fmt
 

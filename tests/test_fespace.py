@@ -300,6 +300,20 @@ def test_evaluator_operator_matches_tabulation(family):
         assert np.abs(integrated - np.tile(scatter, space.num_components)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("family", [P1, P2_VECTOR])
+def test_integrating_stacked_rows_equals_integrating_each_row(family):
+    # one bincount over all rows adds each row's entries in the order of
+    # one bincount per row, so the results agree bitwise
+    space = build_space(build_uniform(8), family)
+    ev = evaluator(space)
+    lead = (4,) + ((2,) if family == P2_VECTOR else ())
+    densities = np.random.default_rng(3).standard_normal(lead + ev.shape)
+    stacked = ev.integrate(densities)
+    assert stacked.shape == (4, space.dof_count)
+    for row, d in zip(stacked, densities):
+        assert np.array_equal(row, ev.integrate(d))
+
+
 def test_evaluator_is_built_once_per_space(monkeypatch):
     space = build_space(build_uniform(4), P1)
     tabulated = []

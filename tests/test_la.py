@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chnsfem.harness import benchmark_initial_data
 from chnsfem.la import (
     LU_RESIDUAL_BOUND,
     Factor,
@@ -11,6 +14,9 @@ from chnsfem.la import (
     lu_solve,
     newton,
 )
+from chnsfem.mesh import build_uniform
+from chnsfem.physics import default_model
+from chnsfem.scheme import Stepper, StepperConfig, build_spaces, initial_state
 
 
 def test_identity_solve():
@@ -76,6 +82,25 @@ def test_residual_bound_on_random_well_conditioned_systems(n):
     b = A @ x_ref
     x = lu_solve(A, b)
     assert np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b)) <= 1e-10
+
+
+def test_factor_scales_rows_on_the_pattern_of_a():
+    # one n=16 benchmark Jacobian: the row scaling reads A's arrays and
+    # allocates one array of entries, not copies of the matrix
+    model = default_model()
+    mesh = build_uniform(16)
+    spaces = build_spaces(mesh)
+    state = initial_state(mesh, spaces, model, *benchmark_initial_data())
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
+    J = stepper.jacobian_matrix(stepper.fields_from_state(state), stepper.pack(state))
+    tracemalloc.start()
+    try:
+        factor = Factor(J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= J.data.nbytes + J.indices.nbytes + J.indptr.nbytes
+    assert np.array_equal(factor.row_scale, 1.0 / abs(J).max(axis=1).toarray().ravel())
 
 
 def test_newton_square_root():

@@ -273,21 +273,25 @@ def test_jacobian_stores_470_entries_per_cell(model, n):
 
 
 def test_jacobian_traced_peak_memory(model):
-    # one Jacobian of the n=16 benchmark (setup8's data at n=16, tau=1e-2):
-    # the per-channel complex-step assembly keeps its temporaries small
+    # one Jacobian of the n=16 benchmark (setup8's data at n=16, tau=1e-2)
+    # traces at most four times the matrix it returns: the column blocks
+    # keep one trial field's element blocks alive at a time (assembling the
+    # whole matrix from one COO array traced 8.6 times the matrix)
     mesh = build_uniform(16)
     spaces = build_spaces(mesh)
     state = initial_state(mesh, spaces, model, phi0, theta0, u0)
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
-    old_fields = stepper.fields_from_state(state)
-    x = stepper.pack(state)
-    tracemalloc.start()
-    try:
-        stepper.jacobian_matrix(old_fields, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 30 * 2**20
+    for star_rule in ("old", "new"):
+        stepper = Stepper(mesh, spaces, model,
+                          StepperConfig(tau=1e-2, star_rule=star_rule))
+        old_fields = stepper.fields_from_state(state)
+        x = stepper.pack(state)  # a fresh vector: its fields are traced too
+        tracemalloc.start()
+        try:
+            J = stepper.jacobian_matrix(old_fields, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (J.data.nbytes + J.indices.nbytes + J.indptr.nbytes), star_rule
 
 
 # -- stepping -------------------------------------------------------------
