@@ -275,8 +275,7 @@ def test_jacobian_stores_470_entries_per_cell(model, n):
 def test_jacobian_traced_peak_memory(model):
     # one Jacobian of the n=16 benchmark (setup8's data at n=16, tau=1e-2)
     # traces at most four times the matrix it returns: the column blocks
-    # keep one trial field's element blocks alive at a time (assembling the
-    # whole matrix from one COO array traced 8.6 times the matrix)
+    # keep one trial field's element blocks alive at a time
     mesh = build_uniform(16)
     spaces = build_spaces(mesh)
     state = initial_state(mesh, spaces, model, phi0, theta0, u0)
