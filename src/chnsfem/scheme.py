@@ -18,7 +18,9 @@ symmetric in structure.  Unknown ordering: [phi | mu | theta | u | pi | lam].
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -250,6 +252,17 @@ def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
     return out
 
 
+def _keep_freed_heap():
+    """Fix glibc malloc's adaptive thresholds at their 64-bit maxima (heap
+    blocks under 32 MiB, up to 64 MiB of freed heap kept mapped): left to
+    follow the largest block freed so far, they let a residual's temporaries
+    go back to the system and be faulted in again on each Newton iteration."""
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 class Stepper:
     """Assembles and advances the coupled system on one fixed mesh, keeping
     the LU factor of each step for the next step's chord iteration and the
@@ -272,6 +285,7 @@ class Stepper:
 
     def __init__(self, mesh: PeriodicTriMesh, spaces: SpaceSet,
                  model: MaterialModel, cfg: StepperConfig):
+        _keep_freed_heap()
         self.mesh = mesh
         self.spaces = spaces
         self.model = model
@@ -306,26 +320,14 @@ class Stepper:
     # -- packing ---------------------------------------------------------
 
     def pack(self, state: State, lam: float = 0.0) -> np.ndarray:
-        x = np.empty(self.size)
-        off, n1, n2 = self.off, self.n1, self.n2
-        x[off["phi"]:off["phi"] + n1] = state.phi.coefficients
-        x[off["mu"]:off["mu"] + n1] = state.mu.coefficients
-        x[off["theta"]:off["theta"] + n1] = state.theta.coefficients
-        x[off["u1"]:off["u1"] + 2 * n2] = state.u.coefficients
-        x[off["pi"]:off["pi"] + n1] = state.pi.coefficients
-        x[self.lam_index] = lam
-        return x
+        fields = (state.phi, state.mu, state.theta, state.u, state.pi)
+        return np.concatenate([f.coefficients for f in fields] + [[lam]])
 
     def unpack(self, x: np.ndarray, time: float) -> tuple[State, float]:
-        off, n1, n2 = self.off, self.n1, self.n2
-        return State(
-            time=time,
-            phi=FeFunction(self.spaces.scalar, x[off["phi"]:off["phi"] + n1].copy()),
-            mu=FeFunction(self.spaces.scalar, x[off["mu"]:off["mu"] + n1].copy()),
-            theta=FeFunction(self.spaces.scalar, x[off["theta"]:off["theta"] + n1].copy()),
-            u=FeFunction(self.spaces.velocity, x[off["u1"]:off["u1"] + 2 * n2].copy()),
-            pi=FeFunction(self.spaces.scalar, x[off["pi"]:off["pi"] + n1].copy()),
-        ), float(x[self.lam_index])
+        cuts = [self.off[k] for k in ("mu", "theta", "u1", "pi")] + [self.lam_index]
+        spaces = (self.spaces.scalar,) * 3 + (self.spaces.velocity, self.spaces.scalar)
+        return State(time, *(FeFunction(space, part.copy()) for space, part
+                             in zip(spaces, np.split(x, cuts)))), float(x[self.lam_index])
 
     # -- field evaluation -------------------------------------------------
 

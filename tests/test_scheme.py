@@ -1,4 +1,6 @@
 import dataclasses
+import platform
+import resource
 import tracemalloc
 import warnings
 
@@ -8,7 +10,7 @@ import scipy.sparse as sp
 from per_element import conical_rule, per_element_tabulation
 from scipy.sparse.linalg import splu
 
-from chnsfem import fespace
+from chnsfem import fespace, harness
 from chnsfem.fespace import QUAD_DEGREE, FeFunction, evaluator
 from chnsfem.la import LU_RESIDUAL_BOUND, Factor, NewtonSettings
 from chnsfem.mesh import build_uniform, quad_rule
@@ -291,6 +293,23 @@ def test_jacobian_traced_peak_memory(model):
         finally:
             tracemalloc.stop()
         assert peak <= 4 * (J.data.nbytes + J.indices.nbytes + J.indptr.nbytes), star_rule
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc")
+def test_later_steps_reuse_freed_heap(model):
+    # the n=16 benchmark at tau=1e-2: once the first two steps have grown
+    # the heap, a step's residuals and Jacobian fault in no fresh pages.
+    # With malloc's adaptive trim threshold they faulted 0-1,800 a step.
+    mesh = build_uniform(16)
+    spaces = build_spaces(mesh)
+    state = initial_state(mesh, spaces, model, *harness.benchmark_initial_data())
+    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
+    faults = []
+    for k in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        state, _ = stepper.step(state, k)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults[2:]) <= 64, faults
 
 
 # -- stepping -------------------------------------------------------------
