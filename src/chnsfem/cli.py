@@ -152,13 +152,8 @@ DIAGNOSTICS_COLUMNS = ("step", "time", "mass", "kinetic", "internal",
 
 def write_diagnostics_csv(path: Path, records: list[DiagnosticsRecord]):
     lines = [",".join(DIAGNOSTICS_COLUMNS)]
-    for r in records:
-        lines.append(",".join([
-            str(r.step), _fmt(r.time), _fmt(r.mass), _fmt(r.kinetic),
-            _fmt(r.internal), _fmt(r.total_energy), _fmt(r.entropy),
-            _fmt(r.tau_dissipation), _fmt(r.d_num), str(r.newton_iters),
-            _fmt(r.min_theta),
-        ]))
+    lines.extend(",".join(_fmt(getattr(r, c)) for c in DIAGNOSTICS_COLUMNS)
+                 for r in records)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -4,9 +4,9 @@ P1 holds the phase field, the chemical potential, the inverse temperature
 and the pressure; vector P2 holds the velocity (Taylor-Hood).  Provides
 degree-of-freedom maps that respect the periodic identification, basis
 tabulation at quadrature points, the per-space evaluator that evaluates
-and assembles through one basis table per triangle type, nodal
-interpolation, point evaluation, exact nested prolongation and the
-skew-symmetric convection form.
+fields and assembles vectors and matrices through one basis table per
+triangle type, nodal interpolation, point evaluation, exact nested
+prolongation and the skew-symmetric convection form.
 
 DOF ordering is deterministic: vertices first (the mesh's lexicographic
 vertex order), then edge midpoints sorted lexicographically by their
@@ -177,9 +177,10 @@ class Evaluator:
     triangle of type ``t``.  :meth:`fields` gathers the coefficients through
     ``dofs`` and takes one dense product per basis part; :meth:`integrate`,
     its transpose, multiplies back by the weighted table and adds each
-    triangle's entries into its DOFs.  Assembly, diagnostics and error
-    norms all go through this one tabulation, so every integral uses the
-    same rule.
+    triangle's entries into its DOFs; :meth:`element_matrices` and
+    :meth:`matrix_entries` do the same for matrices.  Assembly, diagnostics
+    and error norms all go through this one tabulation, so every integral
+    uses the same rule.
     """
 
     def __init__(self, space: FunctionSpace, rule: QuadRule):
@@ -227,6 +228,28 @@ class Evaluator:
         n = self.scalar_dof_count
         dofs = self.dofs.ravel() + n * np.arange(len(local))[:, None]
         return np.bincount(dofs.ravel(), local.ravel(), n * len(local)).reshape(lead + (-1,))
+
+    def element_matrices(self, densities, parts, trial: Evaluator,
+                         trial_part: int) -> np.ndarray:
+        """The matrix counterpart of :meth:`integrate`: entry (a, b) of a
+        triangle's matrix sums ``densities[k] * (part parts[k] of test
+        function a) * (part trial_part of function b of trial)`` over k and
+        the points, weighted.  Shape (types, triangles of that type, a*b):
+        one dense product per type with its table of weighted basis products."""
+        d = self.by_type(np.stack(densities, axis=1).reshape(self.shape[1], -1))
+        table = np.einsum("q,ktqa,tqb->tkqab", self.weights, self.basis[parts],
+                          trial.basis[trial_part])
+        return d @ table.reshape(len(table), d.shape[-1], -1)
+
+    def matrix_entries(self, blocks: np.ndarray, trial: Evaluator,
+                       row_offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of :meth:`element_matrices`' ``blocks``
+        in the global numbering: rows are this space's scalar DOFs plus
+        ``row_offset``, columns the scalar DOFs of ``trial``.  Repeated
+        (row, col) pairs are to be summed, as a COO matrix does."""
+        shape = self.dofs.shape + trial.dofs.shape[-1:]  # (types, triangles, a, b)
+        return ((row_offset + np.broadcast_to(self.dofs[..., None], shape)).ravel(),
+                np.broadcast_to(trial.dofs[..., None, :], shape).ravel(), blocks.ravel())
 
     def squared_norms(self, coeffs: np.ndarray) -> tuple[float, float]:
         """(squared L2 norm, squared H1 seminorm) of one function."""

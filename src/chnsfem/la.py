@@ -30,7 +30,6 @@ of refactoring.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +55,13 @@ ARMIJO = 1e-4
 class FactorizationError(RuntimeError):
     """Factorization failed or produced an unusable solution."""
 
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
-
 
 class NonconvergenceError(RuntimeError):
     """Newton exhausted its iteration budget or its line search."""
 
-    def __init__(self, message: str, residual_norm: float, iterations: int):
+    def __init__(self, message: str, residual_norm: float):
         super().__init__(message)
         self.residual_norm = residual_norm
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -104,10 +98,7 @@ class Factor:
             self.lu = splu(scaled, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:  # SuperLU signals singularity this way
-            match = re.search(r"\d+", str(exc))
-            pivot = int(match.group()) if match else None
-            raise FactorizationError(f"sparse LU failed: {exc}",
-                                     pivot=pivot) from exc
+            raise FactorizationError(f"sparse LU failed: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -192,7 +183,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                 raise NonconvergenceError(
                     f"Newton stalled at residual norm {rnorm:.3e} above tolerance "
                     f"{settings.tol:.3e}: {MAX_HALVINGS} step halvings found no decrease",
-                    residual_norm=rnorm, iterations=it)
+                    residual_norm=rnorm)
         x, r, rnorm = accepted
         it += 1
     if rnorm <= settings.tol:
@@ -202,4 +193,4 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
     raise NonconvergenceError(
         f"Newton did not reach tolerance {settings.tol:.3e} within "
         f"{settings.max_iter} iterations (residual norm {rnorm:.3e})",
-        residual_norm=rnorm, iterations=settings.max_iter)
+        residual_norm=rnorm)

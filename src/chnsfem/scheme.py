@@ -56,10 +56,12 @@ STAR_NEW = "new"
 STEP = 2.0**-100
 
 #: largest mesh (subdivisions per axis) the solver can index.  The Jacobian
-#: is its largest sparse matrix, with 470 entries per mesh cell: 8 P1-P1
-#: blocks of 7, 12 P1-P2 blocks of 19, 4 P2-P2 blocks of 46 and 2 for the
-#: multiplier.  SuperLU takes C-int (int32) indices, so 470 n^2 < 2^31.
-MAX_SUBDIVISIONS = math.isqrt(np.iinfo(np.intc).max // 470)
+#: is its largest sparse matrix, with 470 entries per mesh cell under star
+#: rule "old": 8 P1-P1 blocks of 7, 12 P1-P2 blocks of 19, 4 P2-P2 blocks of
+#: 46 and 2 for the multiplier.  Under "new" the momentum rows' frozen phi is
+#: the unknown one: 2 more P2-P1 blocks, (u1, phi) and (u2, phi), make 508.
+#: SuperLU takes C-int (int32) indices, so 508 n^2 < 2^31.
+MAX_SUBDIVISIONS = math.isqrt(np.iinfo(np.intc).max // 508)
 
 # pointwise channels of the linearization: (field key, trial field, basis
 # part: 0 value, 1 d/dx, 2 d/dy)
@@ -71,12 +73,6 @@ _CHANNELS = [(key + suffix, trial, part)
 
 class PositivityError(RuntimeError):
     """Inverse temperature dropped to or below the positivity floor."""
-
-    def __init__(self, message: str, min_theta: float,
-                 step_index: int | None = None):
-        super().__init__(message)
-        self.min_theta = min_theta
-        self.step_index = step_index
 
 
 class StepFailure(RuntimeError):
@@ -286,7 +282,6 @@ class Stepper:
     def __init__(self, mesh: PeriodicTriMesh, spaces: SpaceSet,
                  model: MaterialModel, cfg: StepperConfig):
         _keep_freed_heap()
-        self.mesh = mesh
         self.spaces = spaces
         self.model = model
         self.cfg = cfg
@@ -352,23 +347,20 @@ class Stepper:
             self._level, self._history = (state, self.fields_from_vector(x)), (x,)
         return self._level[1]
 
-    def _check_positivity(self, theta_at_qp: np.ndarray,
-                          step_index: int | None = None):
+    def _check_positivity(self, theta_at_qp: np.ndarray):
         tmin = float(theta_at_qp.min())
         if tmin <= self.cfg.theta_floor:
             raise PositivityError(
                 f"inverse temperature reached {tmin:.3e} at a quadrature "
-                f"point (floor {self.cfg.theta_floor:.0e})",
-                min_theta=tmin, step_index=step_index)
+                f"point (floor {self.cfg.theta_floor:.0e})")
 
     # -- residual ---------------------------------------------------------
 
-    def residual_vector(self, old_fields: dict, x: np.ndarray,
-                        step_index: int | None = None) -> np.ndarray:
+    def residual_vector(self, old_fields: dict, x: np.ndarray) -> np.ndarray:
         """Assemble the coupled residual at the guess vector ``x``."""
         new = self.fields_from_vector(x)
         self._last = (x, new)
-        self._check_positivity(new["t"], step_index)
+        self._check_positivity(new["t"])
         star = old_fields if self.cfg.star_rule == STAR_OLD else new
         lam = float(x[self.lam_index])
         kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
@@ -384,15 +376,14 @@ class Stepper:
 
     # -- Jacobian ----------------------------------------------------------
 
-    def jacobian_matrix(self, old_fields: dict, x: np.ndarray,
-                        step_index: int | None = None) -> sp.csc_matrix:
+    def jacobian_matrix(self, old_fields: dict, x: np.ndarray) -> sp.csc_matrix:
         """Linearization of the residual at ``x``, exact to roundoff: one
         complex-step evaluation of the kernels per channel.  It is built as
         column blocks, one per trial field in the order of the unknowns
         (:meth:`_field_columns`), so only one field's element blocks are
         alive at a time; the multiplier column is the last block."""
         plain = self._fields_at(x)
-        self._check_positivity(plain["t"], step_index)
+        self._check_positivity(plain["t"])
         lam = float(x[self.lam_index])
         columns = [self._field_columns(trial_field, channels, plain, old_fields, lam)
                    for trial_field, channels in groupby(_CHANNELS, key=lambda c: c[1])]
@@ -404,51 +395,39 @@ class Stepper:
 
     def _field_columns(self, trial_field: str, channels, plain: dict,
                        old_fields: dict, lam: float) -> sp.csc_matrix:
-        """The Jacobian's columns of one trial field, from its channels.  The
-        element blocks of each test field take one dense product per triangle
-        type (mesh.TRIANGLE_TYPES): the derivative densities times the type's
-        table of weighted test and trial basis products.  One COO-to-CSC
-        conversion sums them; the pi columns also hold the pressure-mean row."""
+        """The Jacobian's columns of one trial field, from its channels: the
+        derivative densities of each test field's equation give its element
+        matrices (:meth:`Evaluator.element_matrices`), summed over the
+        channels.  One COO-to-CSC conversion sums them; the pi columns also
+        hold the pressure-mean row."""
         trial_ev = self._ev[trial_field]
-        weights = self.ev1.weights
         blocks = {}  # test field -> (types, elements, a*b)
         for key, _, part in channels:
             new = {**plain, key: plain[key] + 1j * STEP}
             star = old_fields if self.cfg.star_rule == STAR_OLD else new
             kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
-            trial = trial_ev.basis[part]
             for densities, test_field in zip(kern.values(), self._ev):
                 ks = [k for k, d in enumerate(densities)
                       if d is not None and np.any(d.imag)]
                 if not ks:
                     continue
-                # d(density k)/d(channel) by type, (types, elements, k*q),
-                # times w * test[k] * trial[part], (types, k*q, a*b)
-                deriv = np.stack([densities[k].imag for k in ks], axis=1) / STEP
-                deriv = self.ev1.by_type(deriv.reshape(len(deriv), -1))
-                test = self._ev[test_field].basis[ks]
-                table = np.einsum("q,ktqa,tqb->tkqab", weights, test, trial)
-                block = deriv @ table.reshape(len(table), deriv.shape[-1], -1)
-                blocks[test_field] = (block + blocks[test_field]
-                                      if test_field in blocks else block)
+                # d(density k)/d(channel) against test part k, trial part `part`
+                block = self._ev[test_field].element_matrices(
+                    [densities[k].imag / STEP for k in ks], ks, trial_ev, part)
+                if test_field in blocks:
+                    block += blocks[test_field]
+                blocks[test_field] = block
             del kern, densities  # before the next channel's kernels allocate
 
-        rows, cols, vals = [], [], []
-        for test_field, block in blocks.items():
-            test_dofs = self._ev[test_field].dofs[..., :, None]
-            trial_dofs = trial_ev.dofs[..., None, :]
-            shape = np.broadcast_shapes(test_dofs.shape, trial_dofs.shape)
-            rows.append((self.off[test_field] + np.broadcast_to(test_dofs, shape)).ravel())
-            cols.append(np.broadcast_to(trial_dofs, shape).ravel())
-            vals.append(block.ravel())
+        entries = [self._ev[test_field].matrix_entries(block, trial_ev, self.off[test_field])
+                   for test_field, block in blocks.items()]
         if trial_field == "pi":
-            rows.append(np.full(self.n1, self.lam_index, dtype=np.intc))
-            cols.append(np.arange(self.n1, dtype=np.intc))
-            vals.append(self.p1_load)
-        coo = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.size, trial_ev.scalar_dof_count))
-        del blocks, block, rows, cols, vals  # before the conversion allocates
+            entries.append((np.full(self.n1, self.lam_index, dtype=np.intc),
+                            np.arange(self.n1, dtype=np.intc), self.p1_load))
+        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+        coo = sp.coo_matrix((vals, (rows, cols)),
+                            shape=(self.size, trial_ev.scalar_dof_count))
+        del blocks, block, entries, rows, cols, vals  # before the conversion allocates
         return coo.tocsc()
 
     # -- stepping -----------------------------------------------------------
@@ -457,16 +436,14 @@ class Stepper:
         old_fields = self.fields_from_state(old)
         x0, extrapolated = self._start(self._history)
 
-        def F(x):
-            return self.residual_vector(old_fields, x, step_index)
-
         def J(x):
             self._factor = None  # newton dropped it: free it before assembly
-            return self.jacobian_matrix(old_fields, x, step_index)
+            return self.jacobian_matrix(old_fields, x)
 
         try:
-            result = newton(F, J, x0, self.cfg.newton,
-                            retryable=(PositivityError,), factor=self._factor)
+            result = newton(lambda x: self.residual_vector(old_fields, x), J, x0,
+                            self.cfg.newton, retryable=(PositivityError,),
+                            factor=self._factor)
         except (NonconvergenceError, FactorizationError, PositivityError) as exc:
             self._factor = self._level = self._history = self._last = None
             norm = getattr(exc, "residual_norm", None)
@@ -538,16 +515,9 @@ def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
 
     ev = evaluator(spaces.scalar)
     n1 = spaces.scalar.dof_count
-
-    # every triangle has the mass matrix of its type
-    N = ev.basis[0]
-    type_mass = np.einsum("q,tqa,tqb->tab", ev.weights, N, N)
-    shape = ev.dofs.shape + N.shape[-1:]  # (types, triangles, nb, nb)
-    local_mass = np.broadcast_to(type_mass[:, None], shape)
-    rows = np.broadcast_to(ev.dofs[..., :, None], shape)
-    cols = np.broadcast_to(ev.dofs[..., None, :], shape)
-    mass = sp.coo_matrix((local_mass.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n1, n1)).tocsc()
+    rows, cols, vals = ev.matrix_entries(
+        ev.element_matrices([np.ones(ev.shape[1:])], [0], ev, 0), ev, 0)
+    mass = sp.coo_matrix((vals, (rows, cols)), shape=(n1, n1)).tocsc()
 
     p, t = ev.fields(np.stack([phi.coefficients, theta.coefficients]))
     b = ev.integrate(np.stack([model.dphi_psi(p[0], t[0]),

@@ -326,7 +326,23 @@ def test_mesh_beyond_index_range_exit_code(tmp_path, capsys, monkeypatch,
     path = write_config(tmp_path, text)
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "8 * 2**40" in err and "2137" in err
+    assert "8 * 2**40" in err and "2056" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mesh_just_beyond_index_range_exit_code(tmp_path, capsys, monkeypatch):
+    # 2057 subdivisions: within 470 n^2 C-int entries, beyond the 508 n^2
+    # of a star_rule = new Jacobian
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr("chnsfem.harness.build_uniform", no_mesh)
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "base = 8", "base = 2057") + "\n[scheme]\nstar_rule = new\n"
+    path = write_config(tmp_path, text)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "2057" in err and "2056" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -364,3 +364,42 @@ def test_evaluator_holds_no_array_beyond_one_entry_per_local_dof():
             else:
                 sizes = [np.size(value)]
             assert max(sizes) <= limit, name
+
+
+def _assembled(ev, blocks, n):
+    rows, cols, vals = ev.matrix_entries(blocks, ev, 0)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("family", [P1, P2_VECTOR])
+def test_element_matrices_match_the_per_element_assembly(family):
+    # the mass and stiffness matrices of the scalar basis from the type
+    # tables, against every triangle's own table (tests/per_element.py)
+    space = build_space(build_uniform(8), family)
+    ev = evaluator(space)
+    n = space.scalar_dof_count
+    ones = np.ones(ev.shape[1:])
+    mass = _assembled(ev, ev.element_matrices([ones], [0], ev, 0), n)
+    stiffness = _assembled(ev, ev.element_matrices([ones], [1], ev, 1)
+                           + ev.element_matrices([ones], [2], ev, 2), n)
+
+    basis, weights = per_element_tabulation(space, quad_rule(QUAD_DEGREE))
+    dofs = space.element_dof_table
+    rows = np.broadcast_to(dofs[:, :, None], dofs.shape + dofs.shape[-1:]).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], dofs.shape + dofs.shape[-1:]).ravel()
+    for matrix, parts in ((mass, [0]), (stiffness, [1, 2])):
+        local = sum(np.einsum("eq,eqa,eqb->eab", weights, basis[k], basis[k])
+                    for k in parts)
+        ref = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        assert abs(matrix - ref).max() <= 1e-15 * abs(ref).max()
+
+
+def test_p1_mass_times_ones_is_the_integral_of_each_basis_function():
+    space = build_space(build_uniform(8), P1)
+    ev = evaluator(space)
+    ones = np.ones(ev.shape[1:])
+    mass = _assembled(ev, ev.element_matrices([ones], [0], ev, 0), space.dof_count)
+    unit = np.zeros(ev.shape)
+    unit[0] = 1.0
+    load = ev.integrate(unit)
+    assert np.abs(mass @ np.ones(space.dof_count) - load).max() <= 1e-15 * load.max()

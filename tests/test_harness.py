@@ -91,15 +91,15 @@ def test_config_validation():
 
 
 def test_config_rejects_a_mesh_beyond_the_index_range():
-    # the Jacobian stores 470 n^2 entries, and SuperLU indexes them with C
-    # ints (test_scheme pins the count)
-    assert scheme.MAX_SUBDIVISIONS == 2137
-    assert 470 * 2137**2 <= np.iinfo(np.intc).max < 470 * 2138**2
-    for kwargs in ({"level": 40}, {"base": 2138}, {"base": 1069, "level": 1}):
-        with pytest.raises(ValueError, match="2137"):
+    # the Jacobian stores up to 508 n^2 entries (star_rule "new"), and
+    # SuperLU indexes them with C ints (test_scheme pins the counts)
+    assert scheme.MAX_SUBDIVISIONS == 2056
+    assert 508 * 2056**2 <= np.iinfo(np.intc).max < 508 * 2057**2
+    for kwargs in ({"level": 40}, {"base": 2057}, {"base": 1029, "level": 1}):
+        with pytest.raises(ValueError, match="2056"):
             RunConfig(**kwargs)
-    assert RunConfig(base=2137).mesh_subdivisions == 2137
-    assert RunConfig(base=534, level=2).mesh_subdivisions == 2136
+    assert RunConfig(base=2056).mesh_subdivisions == 2056
+    assert RunConfig(base=514, level=2).mesh_subdivisions == 2056
 
 
 def _fake_refined(result: RunResult) -> RunResult:

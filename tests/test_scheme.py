@@ -263,15 +263,18 @@ def test_jacobian_by_type_matches_the_per_element_assembly(request, model, setup
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_jacobian_stores_470_entries_per_cell(model, n):
-    # MAX_SUBDIVISIONS rests on this count: the largest n whose Jacobian
-    # SuperLU can index with C ints
+    # 470 under star_rule "old", 508 under "new" (the momentum rows couple
+    # to phi).  MAX_SUBDIVISIONS rests on the larger count: the largest n
+    # whose Jacobian SuperLU can index with C ints under either rule
     mesh = build_uniform(n)
     spaces = build_spaces(mesh)
     state = initial_state(mesh, spaces, model, phi0, theta0, u0)
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
-    J = stepper.jacobian_matrix(stepper.fields_from_state(state), stepper.pack(state))
-    assert J.nnz == 470 * n**2
-    assert 470 * MAX_SUBDIVISIONS**2 <= np.iinfo(np.intc).max < 470 * (MAX_SUBDIVISIONS + 1)**2
+    for star_rule, per_cell in (("old", 470), ("new", 508)):
+        stepper = Stepper(mesh, spaces, model,
+                          StepperConfig(tau=1e-2, star_rule=star_rule))
+        J = stepper.jacobian_matrix(stepper.fields_from_state(state), stepper.pack(state))
+        assert J.nnz == per_cell * n**2, star_rule
+    assert 508 * MAX_SUBDIVISIONS**2 <= np.iinfo(np.intc).max < 508 * (MAX_SUBDIVISIONS + 1)**2
 
 
 def test_jacobian_traced_peak_memory(model):
