@@ -133,9 +133,9 @@ def run(cfg: RunConfig) -> RunResult:
     mesh = build_uniform(cfg.mesh_subdivisions)
     spaces = build_spaces(mesh)
     scfg = cfg.stepper_config()
-    stepper = Stepper(mesh, spaces, cfg.model, scfg)
+    stepper = Stepper(spaces, cfg.model, scfg)
     phi0, theta0, u0 = cfg.initial_data
-    state = initial_state(mesh, spaces, cfg.model, phi0, theta0, u0)
+    state = initial_state(spaces, cfg.model, phi0, theta0, u0)
     fields = stepper.fields_from_state(state)
     states = [state]
     records = [initial_record(state, fields, cfg.model, scfg)]

@@ -269,18 +269,21 @@ class Stepper:
     vector and, once Newton returns it, the new level.  They are reused
     only for that same array object, which Newton never changes in place.
 
-    It also keeps the solution vectors of the last three levels of the run
+    It also keeps the solution vectors of the last four levels of the run
     it is stepping, starting with the packed start state.  Each Newton solve
-    starts from their polynomial extrapolation to the new level,
-    3x_n - 3x_{n-1} + x_{n-2} (2x_n - x_{n-1}, then x_n, while fewer levels
-    exist; Hairer, Norsett & Wanner, Solving ODEs I), and from x_n when that
-    guess has a nodal inverse temperature at or below ``theta_floor``.  The
-    history is dropped with the factor after a failed step and restarts
-    whenever the stepper gets a state other than its current level.
+    starts from their polynomial extrapolation to the new level
+    (Hairer, Norsett & Wanner, Solving ODEs I): the cubic
+    4x_n - 6x_{n-1} + 4x_{n-2} - x_{n-3} once four levels have been solved.
+    Before that it starts from x_n, then 2x_n - x_{n-1}, then the quadratic
+    3x_n - 3x_{n-1} + x_{n-2} through the last three vectors.  The start
+    state (a projected mu, zero pi and lam) is not a level of the scheme,
+    so it never enters a cubic.  A guess with a nodal inverse temperature
+    at or below ``theta_floor`` falls back to x_n.  The history is dropped
+    with the factor after a failed step and restarts whenever the stepper
+    gets a state other than its current level.
     """
 
-    def __init__(self, mesh: PeriodicTriMesh, spaces: SpaceSet,
-                 model: MaterialModel, cfg: StepperConfig):
+    def __init__(self, spaces: SpaceSet, model: MaterialModel, cfg: StepperConfig):
         _keep_freed_heap()
         self.spaces = spaces
         self.model = model
@@ -310,6 +313,7 @@ class Stepper:
         self._factor = None
         self._level = None  # (state, fields) of the current level
         self._history = None  # solution vectors up to the current level
+        self._solved = 0  # levels solved since the history restarted
         self._last = None  # (x, fields) of the last residual
 
     # -- packing ---------------------------------------------------------
@@ -345,6 +349,7 @@ class Stepper:
         if self._history is None or state is not self._level[0]:
             x = self.pack(state)
             self._level, self._history = (state, self.fields_from_vector(x)), (x,)
+            self._solved = 0
         return self._level[1]
 
     def _check_positivity(self, theta_at_qp: np.ndarray):
@@ -434,7 +439,7 @@ class Stepper:
 
     def step(self, old: State, step_index: int | None = None) -> tuple[State, NewtonStats]:
         old_fields = self.fields_from_state(old)
-        x0, extrapolated = self._start(self._history)
+        x0, extrapolated = self._start(self._history, self._solved)
 
         def J(x):
             self._factor = None  # newton dropped it: free it before assembly
@@ -460,7 +465,8 @@ class Stepper:
                 step_index=step_index, residual_norm=result.residual_norm)
         self._factor = result.factor
         self._level = (new_state, self._fields_at(result.x))
-        self._history = (*self._history[-2:], result.x)
+        self._history = (*self._history[-3:], result.x)
+        self._solved += 1
         floor = self.model.split_theta_floor
         if floor is not None and new_state.min_nodal_theta <= floor + 1e-6:
             warnings.warn(
@@ -478,16 +484,19 @@ class Stepper:
             extrapolated=extrapolated)
         return new_state, stats
 
-    def _start(self, history: tuple) -> tuple[np.ndarray, bool]:
-        """Newton's start and whether it is extrapolated.  theta is P1, so
+    def _start(self, history: tuple, solved: int) -> tuple[np.ndarray, bool]:
+        """Newton's start and whether it is extrapolated, from the history
+        and the number of levels solved since it restarted.  theta is P1, so
         a guess whose nodal theta stays above the floor passes the
         positivity check at every quadrature point."""
-        if len(history) == 1:
-            return history[0], False
-        if len(history) == 2:
-            guess = 2.0 * history[1] - history[0]
+        if solved == 0:
+            return history[-1], False
+        if solved == 1:
+            guess = 2.0 * history[-1] - history[-2]
+        elif solved < 4:
+            guess = 3.0 * (history[-1] - history[-2]) + history[-3]
         else:
-            guess = 3.0 * (history[2] - history[1]) + history[0]
+            guess = 4.0 * (history[-1] + history[-3]) - 6.0 * history[-2] - history[-4]
         theta = guess[self.off["theta"]:self.off["theta"] + self.n1]
         if theta.min() <= self.cfg.theta_floor:
             return history[-1], False
@@ -497,8 +506,7 @@ class Stepper:
 # -- module-level operations ------------------------------------------------
 
 
-def initial_state(mesh: PeriodicTriMesh, spaces: SpaceSet, model: MaterialModel,
-                  phi0, theta0, u0) -> State:
+def initial_state(spaces: SpaceSet, model: MaterialModel, phi0, theta0, u0) -> State:
     """Interpolate the initial data and project the chemical potential.
 
     The initial chemical potential solves the mass-matrix system

@@ -116,9 +116,9 @@ def test_criterion_5_jacobian_correctness(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
     phi0, theta0, u0 = benchmark_initial_data()
-    state = initial_state(mesh, spaces, model, phi0, theta0, u0)
+    state = initial_state(spaces, model, phi0, theta0, u0)
     cfg = StepperConfig(tau=TAU_BASE)
-    stepper = Stepper(mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     old_fields = stepper.fields_from_state(state)
     x0 = stepper.pack(state, 0.0)
     J = stepper.jacobian_matrix(old_fields, x0)
@@ -139,12 +139,12 @@ def test_criterion_6_fixed_point_preservation(model):
     mesh = build_uniform(8)
     spaces = build_spaces(mesh)
     state = initial_state(
-        mesh, spaces, model,
+        spaces, model,
         lambda x, y: np.full_like(x, 0.4),
         lambda x, y: np.full_like(x, 1.0),
         lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     cfg = StepperConfig(tau=TAU_BASE)
-    stepper = Stepper(mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     current = state
     for k in range(50):
         current, _ = stepper.step(current, k)

@@ -41,8 +41,8 @@ def short_run(model):
     mesh = build_uniform(8)
     spaces = build_spaces(mesh)
     cfg = StepperConfig(tau=1e-3)
-    stepper = Stepper(mesh, spaces, model, cfg)
-    states = [initial_state(mesh, spaces, model, phi0, theta0, u0)]
+    stepper = Stepper(spaces, model, cfg)
+    states = [initial_state(spaces, model, phi0, theta0, u0)]
     fields = [stepper.fields_from_state(states[0])]
     stats = []
     for k in range(50):
@@ -56,12 +56,12 @@ def short_run(model):
 def test_uniform_state_dissipations_vanish(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model,
+    state = initial_state(spaces, model,
                           lambda x, y: np.full_like(x, 0.3),
                           lambda x, y: np.full_like(x, 1.2),
                           lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     cfg = StepperConfig(tau=1e-3)
-    stepper = Stepper(mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     new, _ = stepper.step(state)
     assert abs(physical_dissipation(new, state, model, cfg)) <= 1e-12
     assert abs(numerical_dissipation(new, state, model, cfg)) <= 1e-12

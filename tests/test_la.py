@@ -90,8 +90,8 @@ def test_factor_scales_rows_on_the_pattern_of_a():
     model = default_model()
     mesh = build_uniform(16)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model, *benchmark_initial_data())
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
+    state = initial_state(spaces, model, *benchmark_initial_data())
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-2))
     J = stepper.jacobian_matrix(stepper.fields_from_state(state), stepper.pack(state))
     tracemalloc.start()
     try:

@@ -60,7 +60,7 @@ def mean(f):
 def setup4(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model, phi0, theta0, u0)
+    state = initial_state(spaces, model, phi0, theta0, u0)
     return mesh, spaces, state
 
 
@@ -68,7 +68,7 @@ def setup4(model):
 def setup8(model):
     mesh = build_uniform(8)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model, phi0, theta0, u0)
+    state = initial_state(spaces, model, phi0, theta0, u0)
     return mesh, spaces, state
 
 
@@ -79,7 +79,7 @@ def test_pressure_lives_in_the_scalar_space(setup4, model):
     # two spaces: P1 for phi, mu, theta and pi, vector P2 for u
     mesh, spaces, state = setup4
     assert [f.name for f in dataclasses.fields(spaces)] == ["scalar", "velocity"]
-    new, _ = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3)).step(state, 1)
+    new, _ = Stepper(spaces, model, StepperConfig(tau=1e-3)).step(state, 1)
     assert state.pi.space is spaces.scalar
     assert new.pi.space is spaces.scalar
 
@@ -87,7 +87,7 @@ def test_pressure_lives_in_the_scalar_space(setup4, model):
 def test_initial_state_constant_data(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model,
+    state = initial_state(spaces, model,
                           lambda x, y: np.full_like(x, 0.3),
                           lambda x, y: np.full_like(x, 1.2),
                           zero_velocity)
@@ -105,7 +105,7 @@ def test_initial_state_rejects_nonpositive_theta(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
     with pytest.raises(ValueError):
-        initial_state(mesh, spaces, model, phi0,
+        initial_state(spaces, model, phi0,
                       lambda x, y: np.sin(2 * np.pi * x), zero_velocity)
 
 
@@ -115,11 +115,11 @@ def test_initial_state_rejects_nonpositive_theta(model):
 def test_uniform_state_is_a_residual_root(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model,
+    state = initial_state(spaces, model,
                           lambda x, y: np.full_like(x, 0.3),
                           lambda x, y: np.full_like(x, 1.2),
                           zero_velocity)
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
     r = stepper.residual_vector(stepper.fields_from_state(state),
                                 stepper.pack(state))
     assert np.abs(r).max() <= 1e-12
@@ -128,10 +128,10 @@ def test_uniform_state_is_a_residual_root(model):
 def test_quadrature_saturation(setup8, model, monkeypatch):
     # raising the quadrature degree from 6 to 12 must barely move any entry
     mesh, spaces, state = setup8
-    s6 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    s6 = Stepper(spaces, model, StepperConfig(tau=1e-3))
     monkeypatch.setattr(fespace, "QUAD_DEGREE", 12)
     monkeypatch.setattr(fespace, "quad_rule", conical_rule)
-    s12 = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    s12 = Stepper(spaces, model, StepperConfig(tau=1e-3))
     assert len(s12.ev1.weights) > len(s6.ev1.weights)
     r6 = s6.residual_vector(s6.fields_from_state(state), s6.pack(state))
     r12 = s12.residual_vector(s12.fields_from_state(state), s12.pack(state))
@@ -141,7 +141,7 @@ def test_quadrature_saturation(setup8, model, monkeypatch):
 def test_positivity_violation_detected(setup4, model):
     mesh, spaces, state = setup4
     cfg = StepperConfig(tau=1e-3, theta_floor=1e-8)
-    stepper = Stepper(mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     bad = dataclasses.replace(state)
     bad.theta = FeFunction(spaces.scalar, state.theta.coefficients.copy())
     bad.theta.coefficients[3] = -0.5
@@ -157,7 +157,7 @@ def test_positivity_violation_detected(setup4, model):
 def test_jacobian_matches_directional_differences(setup4, model, star_rule):
     mesh, spaces, state = setup4
     cfg = StepperConfig(tau=1e-3, star_rule=star_rule)
-    stepper = Stepper(mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     old_fields = stepper.fields_from_state(state)
     rng = np.random.default_rng(1)
     x0 = stepper.pack(state, 0.0) + 1e-2 * rng.standard_normal(stepper.size)
@@ -175,7 +175,7 @@ def test_jacobian_matches_directional_differences(setup4, model, star_rule):
 
 def test_pressure_block_is_minus_twice_transposed_divergence_block(setup4, model):
     mesh, spaces, state = setup4
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
     J = stepper.jacobian_matrix(stepper.fields_from_state(state),
                                 stepper.pack(state)).tocsr()
     n1 = spaces.scalar.dof_count
@@ -189,7 +189,7 @@ def test_pressure_block_is_minus_twice_transposed_divergence_block(setup4, model
 
 def test_multiplier_column_is_p1_load_vector(setup4, model):
     mesh, spaces, state = setup4
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
     J = stepper.jacobian_matrix(stepper.fields_from_state(state),
                                 stepper.pack(state)).tocsc()
     n1 = spaces.scalar.dof_count
@@ -250,7 +250,7 @@ def _per_element_jacobian(stepper, old_fields, x):
 def test_jacobian_by_type_matches_the_per_element_assembly(request, model, setup,
                                                            tau, star_rule):
     mesh, spaces, state = request.getfixturevalue(setup)
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=tau, star_rule=star_rule))
+    stepper = Stepper(spaces, model, StepperConfig(tau=tau, star_rule=star_rule))
     old_fields = stepper.fields_from_state(state)
     rng = np.random.default_rng(2)
     x = stepper.pack(state) * (1.0 + 1e-3 * rng.standard_normal(stepper.size))
@@ -268,9 +268,9 @@ def test_jacobian_stores_470_entries_per_cell(model, n):
     # whose Jacobian SuperLU can index with C ints under either rule
     mesh = build_uniform(n)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model, phi0, theta0, u0)
+    state = initial_state(spaces, model, phi0, theta0, u0)
     for star_rule, per_cell in (("old", 470), ("new", 508)):
-        stepper = Stepper(mesh, spaces, model,
+        stepper = Stepper(spaces, model,
                           StepperConfig(tau=1e-2, star_rule=star_rule))
         J = stepper.jacobian_matrix(stepper.fields_from_state(state), stepper.pack(state))
         assert J.nnz == per_cell * n**2, star_rule
@@ -283,9 +283,9 @@ def test_jacobian_traced_peak_memory(model):
     # keep one trial field's element blocks alive at a time
     mesh = build_uniform(16)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model, phi0, theta0, u0)
+    state = initial_state(spaces, model, phi0, theta0, u0)
     for star_rule in ("old", "new"):
-        stepper = Stepper(mesh, spaces, model,
+        stepper = Stepper(spaces, model,
                           StepperConfig(tau=1e-2, star_rule=star_rule))
         old_fields = stepper.fields_from_state(state)
         x = stepper.pack(state)  # a fresh vector: its fields are traced too
@@ -305,8 +305,8 @@ def test_later_steps_reuse_freed_heap(model):
     # With malloc's adaptive trim threshold they faulted 0-1,800 a step.
     mesh = build_uniform(16)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model, *harness.benchmark_initial_data())
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-2))
+    state = initial_state(spaces, model, *harness.benchmark_initial_data())
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-2))
     faults = []
     for k in range(5):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -321,12 +321,12 @@ def test_later_steps_reuse_freed_heap(model):
 def test_uniform_state_is_a_fixed_point(model):
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
-    state = initial_state(mesh, spaces, model,
+    state = initial_state(spaces, model,
                           lambda x, y: np.full_like(x, 0.3),
                           lambda x, y: np.full_like(x, 1.2),
                           zero_velocity)
     cfg = StepperConfig(tau=1e-3)
-    stepper = Stepper(mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     current = state
     for k in range(5):
         current, stats = stepper.step(current, k)
@@ -338,7 +338,7 @@ def test_uniform_state_is_a_fixed_point(model):
 
 def test_benchmark_step_newton_iterations(setup8, model):
     mesh, spaces, state = setup8
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
     new, stats = stepper.step(state, step_index=0)
     assert stats.iterations <= 6
     assert stats.residual_norm <= 1e-12
@@ -351,7 +351,7 @@ def test_factor_fill_below_default_splu(setup8, model, tau):
     # the row-scaled, symmetric-pattern factor must stay well below the fill
     # of scipy's default COLAMD ordering with partial pivoting at every tau
     mesh, spaces, state = setup8
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=tau))
+    stepper = Stepper(spaces, model, StepperConfig(tau=tau))
     J = stepper.jacobian_matrix(stepper.fields_from_state(state),
                                 stepper.pack(state))
     # the assembly keeps its explicit zeros: the pattern Factor orders
@@ -366,13 +366,13 @@ def test_factor_fill_below_default_splu(setup8, model, tau):
 def test_reused_factor_gives_the_fresh_factor_solution(setup8, model):
     mesh, spaces, state = setup8
     cfg = StepperConfig(tau=1.25e-4)
-    persistent = Stepper(mesh, spaces, model, cfg)
+    persistent = Stepper(spaces, model, cfg)
     reused, fresh = state, state
     factorizations = 0
     for k in range(1, 9):
         reused, stats = persistent.step(reused, step_index=k)
         factorizations += stats.factorizations
-        fresh, _ = Stepper(mesh, spaces, model, cfg).step(fresh, step_index=k)
+        fresh, _ = Stepper(spaces, model, cfg).step(fresh, step_index=k)
         for name in ("phi", "mu", "theta", "u", "pi"):
             diff = np.abs(getattr(reused, name).coefficients
                           - getattr(fresh, name).coefficients).max()
@@ -381,10 +381,11 @@ def test_reused_factor_gives_the_fresh_factor_solution(setup8, model):
 
 
 def test_extrapolated_start_cuts_chord_iterations(setup8, model):
-    # a persistent Stepper, as a run uses it: linear guess from step 2,
-    # quadratic from step 3 (the kept factor serves every step after the first)
+    # a persistent Stepper, as a run uses it: linear guess at step 2,
+    # quadratic at steps 3 and 4, cubic from step 5, whose first chord step
+    # lands below newton_tol (the kept factor serves every step after the first)
     mesh, spaces, state = setup8
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1.25e-4))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1.25e-4))
     stats = []
     for k in range(1, 13):
         state, st = stepper.step(state, step_index=k)
@@ -392,27 +393,59 @@ def test_extrapolated_start_cuts_chord_iterations(setup8, model):
         stats.append(st)
     assert [st.extrapolated for st in stats] == [False] + [True] * 11
     assert np.mean([st.iterations for st in stats[2:]]) <= 2.5
+    assert [st.iterations for st in stats[4:]] == [1] * 8
     assert sum(st.factorizations for st in stats) <= 2
+
+
+def test_start_extrapolates_solved_levels_only(setup4, model):
+    _, spaces, _ = setup4
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3, theta_floor=0.5))
+    rng = np.random.default_rng(3)
+    coeffs = rng.uniform(-1.0, 1.0, (4, stepper.size))
+    coeffs[0] += 4.0  # every sample's theta stays above the floor
+
+    def sample(t):
+        return coeffs[0] + t * (coeffs[1] + t * (coeffs[2] + t * coeffs[3]))
+
+    # four solved levels on a cubic in time: the guess is the next sample
+    history = tuple(sample(t) for t in (0.1, 0.2, 0.3, 0.4))
+    guess, extrapolated = stepper._start(history, solved=4)
+    assert extrapolated
+    exact = sample(0.5)
+    assert np.linalg.norm(guess - exact) <= 1e-12 * np.linalg.norm(exact)
+    # a four-entry history that still holds the start state: the quadratic
+    # through the last three entries
+    guess, extrapolated = stepper._start(history, solved=3)
+    assert extrapolated
+    np.testing.assert_array_equal(
+        guess, 3.0 * (history[3] - history[2]) + history[1])
+    # a guess whose nodal theta sits at the floor starts from x_n
+    theta = slice(stepper.off["theta"], stepper.off["theta"] + stepper.n1)
+    for x in history:
+        x[theta] = 0.5
+    guess, extrapolated = stepper._start(history, solved=4)
+    assert not extrapolated
+    assert guess is history[-1]
 
 
 def test_guess_below_theta_floor_starts_from_the_old_level(setup8, model):
     mesh, spaces, state = setup8
     cfg = StepperConfig(tau=1.25e-4)
-    stepper = Stepper(mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     current = state
-    for k in range(1, 4):
+    for k in range(1, 5):
         current, _ = stepper.step(current, step_index=k)
-    # x_{n-1} one above x_n in theta: 3x_n - 3x_{n-1} + x_{n-2} then has
-    # x_{n-2}'s theta minus 3, below the floor at every node
-    x_n = stepper._history[-1]
+    # x_{n-1} one above x_n in theta: 4x_n - 6x_{n-1} + 4x_{n-2} - x_{n-3}
+    # then has a nodal theta near 1 - 6, below the floor at every node
+    x_n3, x_n2, x_n1, x_n = stepper._history
     theta = slice(stepper.off["theta"], stepper.off["theta"] + stepper.n1)
     x_n1 = x_n.copy()
     x_n1[theta] += 1.0
-    stepper._history = (stepper._history[0], x_n1, x_n)
-    new, stats = stepper.step(current, step_index=4)
+    stepper._history = (x_n3, x_n2, x_n1, x_n)
+    new, stats = stepper.step(current, step_index=5)
     assert not stats.extrapolated
     assert stats.residual_norm <= 1e-12
-    fresh, _ = Stepper(mesh, spaces, model, cfg).step(current, step_index=4)
+    fresh, _ = Stepper(spaces, model, cfg).step(current, step_index=5)
     for name in ("phi", "mu", "theta", "u", "pi"):
         diff = np.abs(getattr(new, name).coefficients
                       - getattr(fresh, name).coefficients).max()
@@ -421,7 +454,7 @@ def test_guess_below_theta_floor_starts_from_the_old_level(setup8, model):
 
 def test_history_restarts_on_another_state_and_after_a_failure(setup4, model):
     mesh, spaces, state = setup4
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
     s1, _ = stepper.step(state)
     s2, stats = stepper.step(s1)
     assert stats.extrapolated
@@ -433,7 +466,7 @@ def test_history_restarts_on_another_state_and_after_a_failure(setup4, model):
     s2, stats = stepper.step(s1)
     assert not stats.extrapolated
     # every nodal theta is below this floor, so the start residual fails
-    failing = Stepper(mesh, spaces, model,
+    failing = Stepper(spaces, model,
                       StepperConfig(tau=1e-3, theta_floor=2.0))
     failing._level, failing._history = stepper._level, stepper._history
     with pytest.raises(StepFailure):
@@ -445,7 +478,7 @@ def test_one_step_conserves_total_energy(setup8, model):
     from chnsfem.diagnostics import state_functionals
 
     mesh, spaces, state = setup8
-    new, _ = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3)).step(state)
+    new, _ = Stepper(spaces, model, StepperConfig(tau=1e-3)).step(state)
     _, k0, e0, _ = state_functionals(state, model)
     _, k1, e1, _ = state_functionals(new, model)
     assert abs((k1 + e1) - (k0 + e0)) <= 1e-10
@@ -454,7 +487,7 @@ def test_one_step_conserves_total_energy(setup8, model):
 def test_step_satisfies_constraints(setup8, model):
     _, spaces, state = setup8
     cfg = StepperConfig(tau=1e-3)
-    stepper = Stepper(state.phi.space.mesh, spaces, model, cfg)
+    stepper = Stepper(spaces, model, cfg)
     new, stats = stepper.step(state)
     # mass conservation, mean-free pressure, incompressibility rows
     assert abs(mean(new.phi) - mean(state.phi)) <= 1e-11
@@ -469,7 +502,7 @@ def test_step_satisfies_constraints(setup8, model):
 
 def test_stepper_keeps_the_fields_of_the_level_it_returned(setup4, model):
     mesh, spaces, state = setup4
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
     new, _ = stepper.step(state)
     kept = stepper.fields_from_state(new)
     assert stepper.fields_from_state(new) is kept
@@ -482,7 +515,7 @@ def test_stepper_keeps_the_fields_of_the_level_it_returned(setup4, model):
     # the next step keeps its own level; a failed step keeps none
     newer, _ = stepper.step(new)
     assert stepper.fields_from_state(newer) is not stepper.fields_from_state(new)
-    failing = Stepper(mesh, spaces, model, StepperConfig(
+    failing = Stepper(spaces, model, StepperConfig(
         tau=1e-3, newton=NewtonSettings(max_iter=1)))
     failing._level = (new, kept)
     with pytest.raises(StepFailure):
@@ -492,7 +525,7 @@ def test_stepper_keeps_the_fields_of_the_level_it_returned(setup4, model):
 
 def test_stepped_state_is_read_only(setup4, model):
     mesh, spaces, state = setup4
-    new, _ = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3)).step(state)
+    new, _ = Stepper(spaces, model, StepperConfig(tau=1e-3)).step(state)
     # initial levels too: a Stepper keeps the fields of its start state
     for level in (state, new):
         for name in ("phi", "mu", "theta", "u", "pi"):
@@ -508,7 +541,7 @@ def test_new_level_star_rule_also_preserves_structure(setup4, model):
 
     mesh, spaces, state = setup4
     cfg = StepperConfig(tau=1e-3, star_rule="new")
-    new, stats = Stepper(mesh, spaces, model, cfg).step(state)
+    new, stats = Stepper(spaces, model, cfg).step(state)
     assert stats.residual_norm <= 1e-12
     _, k0, e0, s0 = state_functionals(state, model)
     _, k1, e1, s1 = state_functionals(new, model)
@@ -520,10 +553,10 @@ def test_step_warns_below_split_validity(model):
     # a uniform state is a fixed point, so theta stays at its initial value
     mesh = build_uniform(4)
     spaces = build_spaces(mesh)
-    stepper = Stepper(mesh, spaces, model, StepperConfig(tau=1e-3))
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
 
     def uniform(theta):
-        return initial_state(mesh, spaces, model,
+        return initial_state(spaces, model,
                              lambda x, y: np.full_like(x, 0.3),
                              lambda x, y: np.full_like(x, theta), zero_velocity)
 
@@ -539,7 +572,7 @@ def test_nonconvergence_is_wrapped_with_step_context(setup8, model):
     mesh, spaces, state = setup8
     cfg = StepperConfig(tau=1e-3, newton=NewtonSettings(tol=1e-12, max_iter=1))
     with pytest.raises(StepFailure) as info:
-        Stepper(mesh, spaces, model, cfg).step(state, step_index=7)
+        Stepper(spaces, model, cfg).step(state, step_index=7)
     assert info.value.step_index == 7
     assert info.value.residual_norm is not None
 
