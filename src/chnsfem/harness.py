@@ -255,27 +255,6 @@ class ErrorTable:
             return []
         return eoc(self.column(name))
 
-    def final_combined_eoc(self) -> float | None:
-        if len(self.rows) < 2:
-            return None
-        return self.eoc_column("combined")[-1]
-
-
-#: (table header, ErrorRow attribute) pairs mirroring the benchmark layout
-TABLE_COLUMNS = [
-    ("e", "combined"),
-    ("e_phi", "linf_h1_phi"),
-    ("e_mu", "l2_h1_mu"),
-    ("e_grad_theta", "l2_h1_theta"),
-    ("e_grad_u", "l2_h1_u"),
-]
-
-#: combined-error constituents without a dedicated table column
-EXTRA_COLUMNS = [
-    ("linf_l2_theta", "linf_l2_theta"),
-    ("linf_l2_u", "linf_l2_u"),
-]
-
 
 def convergence_study(base_cfg: RunConfig, num_levels: int) -> tuple[ErrorTable, list[RunResult]]:
     """Run levels 0..num_levels-1 and tabulate inter-level errors."""
@@ -285,25 +264,3 @@ def convergence_study(base_cfg: RunConfig, num_levels: int) -> tuple[ErrorTable,
     rows = [inter_level_error(results[k], results[k + 1])
             for k in range(num_levels - 1)]
     return ErrorTable(rows=rows), results
-
-
-def format_error_table(table: ErrorTable) -> str:
-    """Aligned plain-text table: one row per level, error and order columns."""
-    headers = ["k"]
-    for name, _ in TABLE_COLUMNS:
-        headers.extend([name, "eoc"])
-    lines = []
-    widths = [4] + [14, 6] * len(TABLE_COLUMNS)
-    lines.append("".join(h.rjust(w) for h, w in zip(headers, widths)))
-    orders = {attr: table.eoc_column(attr) for _, attr in TABLE_COLUMNS}
-    for i, row in enumerate(table.rows):
-        cells = [f"{row.level}".rjust(4)]
-        for name, attr in TABLE_COLUMNS:
-            cells.append(f"{getattr(row, attr):.3e}".rjust(14))
-            if i == 0:
-                cells.append("---".rjust(6))
-            else:
-                o = orders[attr][i - 1]
-                cells.append(("---" if math.isnan(o) else f"{o:.2f}").rjust(6))
-        lines.append("".join(cells))
-    return "\n".join(lines) + "\n"

@@ -261,26 +261,26 @@ def _keep_freed_heap():
 
 class Stepper:
     """Assembles and advances the coupled system on one fixed mesh, keeping
-    the LU factor of each step for the next step's chord iteration and the
-    current level's quadrature fields for the diagnostics and the next step.
-    The current level is the one the last step returned, or the start state
-    whose fields were asked for, so a run evaluates every level once.  The
-    fields of the last residual's vector also serve the Jacobian at that
-    vector and, once Newton returns it, the new level.  They are reused
-    only for that same array object, which Newton never changes in place.
+    the LU factor of each step for the next step's chord iteration and, in
+    one memo, the quadrature fields of the last vector it evaluated: the
+    last residual's, which serve the Jacobian at that vector and, once
+    Newton returns it, the new level, the diagnostics and the next step.  So
+    a run evaluates every level once.  The memo serves only that same array
+    object; the vectors the stepper keeps are read-only, so Newton cannot
+    change one in place.
 
-    It also keeps the solution vectors of the last four levels of the run
-    it is stepping, starting with the packed start state.  Each Newton solve
-    starts from their polynomial extrapolation to the new level
-    (Hairer, Norsett & Wanner, Solving ODEs I): the cubic
-    4x_n - 6x_{n-1} + 4x_{n-2} - x_{n-3} once four levels have been solved.
-    Before that it starts from x_n, then 2x_n - x_{n-1}, then the quadratic
-    3x_n - 3x_{n-1} + x_{n-2} through the last three vectors.  The start
-    state (a projected mu, zero pi and lam) is not a level of the scheme,
-    so it never enters a cubic.  A guess with a nodal inverse temperature
-    at or below ``theta_floor`` falls back to x_n.  The history is dropped
-    with the factor after a failed step and restarts whenever the stepper
-    gets a state other than its current level.
+    It also keeps up to five solution vectors: the packed start state and
+    up to four solved levels.  Each Newton solve starts from their
+    polynomial extrapolation to the new level (Hairer, Norsett & Wanner,
+    Solving ODEs I), by their count: x_n from one, 2x_n - x_{n-1} from two,
+    3x_n - 3x_{n-1} + x_{n-2} from three or four, and the cubic
+    4x_n - 6x_{n-1} + 4x_{n-2} - x_{n-3} through the last four from five.
+    So the start state (a projected mu, zero pi and lam), not a level of
+    the scheme, never enters a cubic.  A guess with a nodal inverse
+    temperature at or below ``theta_floor`` falls back to x_n.  The history
+    is dropped with the factor after a failed step and restarts whenever
+    the stepper gets a state other than its current level, the one whose
+    vector ends the history.
     """
 
     def __init__(self, spaces: SpaceSet, model: MaterialModel, cfg: StepperConfig):
@@ -311,10 +311,9 @@ class Stepper:
         unit[0] = 1.0
         self.p1_load = self.ev1.integrate(unit)
         self._factor = None
-        self._level = None  # (state, fields) of the current level
-        self._history = None  # solution vectors up to the current level
-        self._solved = 0  # levels solved since the history restarted
-        self._last = None  # (x, fields) of the last residual
+        self._current = None  # the state whose vector ends the history
+        self._history = None  # the start vector, then up to four solved levels
+        self._memo = None  # (x, fields) of the last vector evaluated
 
     # -- packing ---------------------------------------------------------
 
@@ -325,32 +324,30 @@ class Stepper:
     def unpack(self, x: np.ndarray, time: float) -> tuple[State, float]:
         cuts = [self.off[k] for k in ("mu", "theta", "u1", "pi")] + [self.lam_index]
         spaces = (self.spaces.scalar,) * 3 + (self.spaces.velocity, self.spaces.scalar)
-        return State(time, *(FeFunction(space, part.copy()) for space, part
+        return State(time, *(FeFunction(space, part) for space, part
                              in zip(spaces, np.split(x, cuts)))), float(x[self.lam_index])
 
     # -- field evaluation -------------------------------------------------
 
     def fields_from_vector(self, x: np.ndarray) -> dict:
-        u1 = self.off["u1"]
-        return quadrature_fields(self.ev1, self.ev2, x[self._scalar_rows],
-                                 x[u1:u1 + 2 * self.n2])
-
-    def _fields_at(self, x: np.ndarray) -> dict:
-        """The last residual's fields if ``x`` is its vector, else fresh ones."""
-        if self._last is not None and self._last[0] is x:
-            return self._last[1]
-        return self.fields_from_vector(x)
+        """The fields of ``x``, kept until another vector is evaluated:
+        reused only for that same array object."""
+        if self._memo is None or self._memo[0] is not x:
+            u1 = self.off["u1"]
+            self._memo = (x, quadrature_fields(self.ev1, self.ev2, x[self._scalar_rows],
+                                               x[u1:u1 + 2 * self.n2]))
+        return self._memo[1]
 
     def fields_from_state(self, state: State) -> dict:
-        """The fields of ``state``, kept for the current level: the level
-        the last step returned or the state this was last called with.  Any
-        other state is evaluated afresh, becomes the current level and
-        restarts the history."""
-        if self._history is None or state is not self._level[0]:
+        """The fields of ``state``.  The current level, the one the last
+        step returned or the state this was last called with, is evaluated
+        at its kept vector, through the memo.  Any other state is packed,
+        becomes the current level and restarts the history."""
+        if state is not self._current:
             x = self.pack(state)
-            self._level, self._history = (state, self.fields_from_vector(x)), (x,)
-            self._solved = 0
-        return self._level[1]
+            x.setflags(write=False)
+            self._current, self._history = state, (x,)
+        return self.fields_from_vector(self._history[-1])
 
     def _check_positivity(self, theta_at_qp: np.ndarray):
         tmin = float(theta_at_qp.min())
@@ -364,7 +361,6 @@ class Stepper:
     def residual_vector(self, old_fields: dict, x: np.ndarray) -> np.ndarray:
         """Assemble the coupled residual at the guess vector ``x``."""
         new = self.fields_from_vector(x)
-        self._last = (x, new)
         self._check_positivity(new["t"])
         star = old_fields if self.cfg.star_rule == STAR_OLD else new
         lam = float(x[self.lam_index])
@@ -387,7 +383,7 @@ class Stepper:
         column blocks, one per trial field in the order of the unknowns
         (:meth:`_field_columns`), so only one field's element blocks are
         alive at a time; the multiplier column is the last block."""
-        plain = self._fields_at(x)
+        plain = self.fields_from_vector(x)
         self._check_positivity(plain["t"])
         lam = float(x[self.lam_index])
         columns = [self._field_columns(trial_field, channels, plain, old_fields, lam)
@@ -439,7 +435,7 @@ class Stepper:
 
     def step(self, old: State, step_index: int | None = None) -> tuple[State, NewtonStats]:
         old_fields = self.fields_from_state(old)
-        x0, extrapolated = self._start(self._history, self._solved)
+        x0, extrapolated = self._start(self._history)
 
         def J(x):
             self._factor = None  # newton dropped it: free it before assembly
@@ -450,23 +446,22 @@ class Stepper:
                             self.cfg.newton, retryable=(PositivityError,),
                             factor=self._factor)
         except (NonconvergenceError, FactorizationError, PositivityError) as exc:
-            self._factor = self._level = self._history = self._last = None
+            self._forget()
             norm = getattr(exc, "residual_norm", None)
             raise StepFailure(
                 f"time step at t = {old.time:.6g} failed: {exc}",
                 step_index=step_index, residual_norm=norm) from exc
 
+        result.x.setflags(write=False)
         new_state, lam = self.unpack(result.x, old.time + self.cfg.tau)
         if new_state.min_nodal_theta <= 0.0:
-            self._factor = self._level = self._history = self._last = None
+            self._forget()
             raise StepFailure(
                 f"nonpositive nodal inverse temperature "
                 f"{new_state.min_nodal_theta:.3e} after the step",
                 step_index=step_index, residual_norm=result.residual_norm)
-        self._factor = result.factor
-        self._level = (new_state, self._fields_at(result.x))
-        self._history = (*self._history[-3:], result.x)
-        self._solved += 1
+        self._factor, self._current = result.factor, new_state
+        self._history = (*self._history[-4:], result.x)
         floor = self.model.split_theta_floor
         if floor is not None and new_state.min_nodal_theta <= floor + 1e-6:
             warnings.warn(
@@ -484,16 +479,19 @@ class Stepper:
             extrapolated=extrapolated)
         return new_state, stats
 
-    def _start(self, history: tuple, solved: int) -> tuple[np.ndarray, bool]:
-        """Newton's start and whether it is extrapolated, from the history
-        and the number of levels solved since it restarted.  theta is P1, so
-        a guess whose nodal theta stays above the floor passes the
-        positivity check at every quadrature point."""
-        if solved == 0:
+    def _forget(self):
+        """Drop the factor, the history and the memo after a failed step."""
+        self._factor = self._current = self._history = self._memo = None
+
+    def _start(self, history: tuple) -> tuple[np.ndarray, bool]:
+        """Newton's start and whether it is extrapolated, by the length of
+        the history.  theta is P1, so a guess whose nodal theta stays above
+        the floor passes the positivity check at every quadrature point."""
+        if len(history) == 1:
             return history[-1], False
-        if solved == 1:
+        if len(history) == 2:
             guess = 2.0 * history[-1] - history[-2]
-        elif solved < 4:
+        elif len(history) < 5:
             guess = 3.0 * (history[-1] - history[-2]) + history[-3]
         else:
             guess = 4.0 * (history[-1] + history[-3]) - 6.0 * history[-2] - history[-4]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chnsfem import fespace, scheme
+from chnsfem.cli import format_error_table
 from chnsfem.fespace import prolong
 from chnsfem.harness import (
     ErrorRow,
@@ -14,7 +15,6 @@ from chnsfem.harness import (
     RunResult,
     convergence_study,
     eoc,
-    format_error_table,
     inter_level_error,
     run,
 )
@@ -167,7 +167,7 @@ def test_error_table_columns():
                      l2_h1_u=0.005)]
     table = ErrorTable(rows=rows)
     assert table.column("combined")[0] == pytest.approx(0.6)
-    assert table.final_combined_eoc() == pytest.approx(2.0)
+    assert table.eoc_column("combined")[-1] == pytest.approx(2.0)
     text = format_error_table(table)
     assert "e_grad_theta" in text
     assert len(text.splitlines()) == 3

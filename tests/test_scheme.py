@@ -407,15 +407,17 @@ def test_start_extrapolates_solved_levels_only(setup4, model):
     def sample(t):
         return coeffs[0] + t * (coeffs[1] + t * (coeffs[2] + t * coeffs[3]))
 
-    # four solved levels on a cubic in time: the guess is the next sample
-    history = tuple(sample(t) for t in (0.1, 0.2, 0.3, 0.4))
-    guess, extrapolated = stepper._start(history, solved=4)
+    # a start vector off the cubic, then four solved levels on a cubic in
+    # time: the guess is the next sample
+    history = (coeffs[0] + rng.uniform(-1.0, 1.0, stepper.size),
+               *(sample(t) for t in (0.1, 0.2, 0.3, 0.4)))
+    guess, extrapolated = stepper._start(history)
     assert extrapolated
     exact = sample(0.5)
     assert np.linalg.norm(guess - exact) <= 1e-12 * np.linalg.norm(exact)
-    # a four-entry history that still holds the start state: the quadratic
+    # a four-entry history, which still holds the start state: the quadratic
     # through the last three entries
-    guess, extrapolated = stepper._start(history, solved=3)
+    guess, extrapolated = stepper._start(history[:4])
     assert extrapolated
     np.testing.assert_array_equal(
         guess, 3.0 * (history[3] - history[2]) + history[1])
@@ -423,7 +425,7 @@ def test_start_extrapolates_solved_levels_only(setup4, model):
     theta = slice(stepper.off["theta"], stepper.off["theta"] + stepper.n1)
     for x in history:
         x[theta] = 0.5
-    guess, extrapolated = stepper._start(history, solved=4)
+    guess, extrapolated = stepper._start(history)
     assert not extrapolated
     assert guess is history[-1]
 
@@ -437,11 +439,11 @@ def test_guess_below_theta_floor_starts_from_the_old_level(setup8, model):
         current, _ = stepper.step(current, step_index=k)
     # x_{n-1} one above x_n in theta: 4x_n - 6x_{n-1} + 4x_{n-2} - x_{n-3}
     # then has a nodal theta near 1 - 6, below the floor at every node
-    x_n3, x_n2, x_n1, x_n = stepper._history
+    x_0, x_n3, x_n2, x_n1, x_n = stepper._history
     theta = slice(stepper.off["theta"], stepper.off["theta"] + stepper.n1)
     x_n1 = x_n.copy()
     x_n1[theta] += 1.0
-    stepper._history = (x_n3, x_n2, x_n1, x_n)
+    stepper._history = (x_0, x_n3, x_n2, x_n1, x_n)
     new, stats = stepper.step(current, step_index=5)
     assert not stats.extrapolated
     assert stats.residual_norm <= 1e-12
@@ -468,10 +470,11 @@ def test_history_restarts_on_another_state_and_after_a_failure(setup4, model):
     # every nodal theta is below this floor, so the start residual fails
     failing = Stepper(spaces, model,
                       StepperConfig(tau=1e-3, theta_floor=2.0))
-    failing._level, failing._history = stepper._level, stepper._history
+    failing._current, failing._history = stepper._current, stepper._history
     with pytest.raises(StepFailure):
         failing.step(s2)
-    assert failing._history is None and failing._level is None
+    assert failing._history is None and failing._current is None
+    assert failing._memo is None
 
 
 def test_one_step_conserves_total_energy(setup8, model):
@@ -517,10 +520,47 @@ def test_stepper_keeps_the_fields_of_the_level_it_returned(setup4, model):
     assert stepper.fields_from_state(newer) is not stepper.fields_from_state(new)
     failing = Stepper(spaces, model, StepperConfig(
         tau=1e-3, newton=NewtonSettings(max_iter=1)))
-    failing._level = (new, kept)
+    kept = failing.fields_from_state(new)
     with pytest.raises(StepFailure):
         failing.step(new)
     assert failing.fields_from_state(new) is not kept
+
+
+def test_memo_serves_only_the_last_vector_evaluated(setup4, model, monkeypatch):
+    _, spaces, state = setup4
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
+    calls = []
+    fields = fespace.Evaluator.fields
+    monkeypatch.setattr(fespace.Evaluator, "fields",
+                        lambda ev, coeffs: calls.append(ev) or fields(ev, coeffs))
+    # one product with each evaluator per evaluated vector
+    x = stepper.pack(state)
+    kept = stepper.fields_from_vector(x)
+    assert stepper.fields_from_vector(x) is kept
+    assert len(calls) == 2
+    # an equal copy is evaluated afresh
+    fresh = stepper.fields_from_vector(x.copy())
+    assert fresh is not kept and len(calls) == 4
+    assert all(np.array_equal(fresh[k], kept[k]) for k in kept)
+    # a residual at another vector replaces the memo
+    kept = stepper.fields_from_vector(x)
+    y = x * (1.0 + 1e-6)
+    stepper.residual_vector(kept, y)
+    assert len(calls) == 8
+    stepper.jacobian_matrix(kept, y)
+    assert len(calls) == 8
+    assert stepper.fields_from_vector(x) is not kept and len(calls) == 10
+
+
+def test_kept_vectors_are_read_only(setup4, model):
+    _, spaces, state = setup4
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
+    new, _ = stepper.step(state)
+    for x in stepper._history:
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+    # a new level's coefficients are views of its kept vector
+    assert np.shares_memory(new.phi.coefficients, stepper._history[-1])
 
 
 def test_stepped_state_is_read_only(setup4, model):
