@@ -24,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, StructureViolationError
+from .diagnostics import DiagnosticsRecord
 from .harness import ErrorTable, RunConfig, RunResult, convergence_study, run
-from .la import FactorizationError, NewtonSettings
+from .la import NewtonSettings, SolverError
 from .mesh import PeriodicTriMesh
 from .physics import default_model, validate_model
-from .scheme import State, StepFailure
+from .scheme import State
 
 MODEL_NAME = "chnst-paper-sec3"
 
@@ -351,9 +351,8 @@ def main(argv=None) -> int:
                 "converge": cmd_converge}
     try:
         return handlers[args.command](cfg, out)
-    except (StepFailure, StructureViolationError, FactorizationError) as exc:
-        step = getattr(exc, "step_index", None)
-        where = "" if step is None else f" at step {step}"
+    except SolverError as exc:
+        where = "" if exc.step_index is None else f" at step {exc.step_index}"
         print(f"error: solver failed{where}: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

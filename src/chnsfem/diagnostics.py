@@ -19,18 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import evaluator
+from .la import SolverError
 from .physics import MaterialModel
 from .scheme import STAR_OLD, State, StepperConfig, quadrature_fields
 
 
-class StructureViolationError(RuntimeError):
+class StructureViolationError(SolverError):
     """A discrete conservation or dissipation law failed beyond tolerance."""
-
-    def __init__(self, message: str, value: float,
-                 step_index: int | None = None):
-        super().__init__(message)
-        self.value = value
-        self.step_index = step_index
 
 
 #: tolerance below which a negative numerical dissipation is an error
@@ -134,7 +129,7 @@ def record(new: State, fields: dict, old_fields: dict, model: MaterialModel,
     if d_num < D_NUM_FLOOR:
         raise StructureViolationError(
             f"numerical dissipation {d_num:.3e} fell below {D_NUM_FLOOR:.0e}",
-            value=d_num, step_index=step_index)
+            step_index)
     return DiagnosticsRecord(
         step=step_index, time=new.time, mass=mass, kinetic=kinetic,
         internal=internal, entropy=entropy, tau_dissipation=tau_diss,

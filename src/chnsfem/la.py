@@ -18,12 +18,11 @@ itself serves the next chord steps when its iteration took the norm from r
 to r' with r' * (r'/r)**2 <= tol, i.e. when two more steps at that
 contraction would reach the tolerance; otherwise the next iteration
 factors again.  A chord trial that raises the norm, or whose residual
-signals "retry with a shorter step" by raising a designated exception
-type, is discarded with its factor.  Each iteration without a factor to
-chord on factors the exact Jacobian and halves the step until a step of
-size s lowers the norm to at most (1 - ARMIJO * s) times its old value
-without the retry signal (Armijo's rule), which handles
-positivity-constrained nonlinearities.  When MAX_HALVINGS halvings find no
+signals "retry with a shorter step" by raising TrialRejected, is discarded
+with its factor.  Each iteration without a factor to chord on factors the
+exact Jacobian and halves the step until a step of size s lowers the norm
+to at most (1 - ARMIJO * s) times its old value without the retry signal
+(Armijo's rule), which handles positivity-constrained nonlinearities.  When MAX_HALVINGS halvings find no
 such step, the norm sits at its roundoff floor, and Newton stops instead
 of refactoring.
 """
@@ -52,16 +51,26 @@ MAX_HALVINGS = 8
 ARMIJO = 1e-4
 
 
-class FactorizationError(RuntimeError):
+class SolverError(RuntimeError):
+    """The solver cannot go on; ``step_index`` names the time step that
+    failed, where there is one."""
+
+    def __init__(self, message: str, step_index: int | None = None):
+        super().__init__(message)
+        self.step_index = step_index
+
+
+class FactorizationError(SolverError):
     """Factorization failed or produced an unusable solution."""
 
 
-class NonconvergenceError(RuntimeError):
+class NonconvergenceError(SolverError):
     """Newton exhausted its iteration budget or its line search."""
 
-    def __init__(self, message: str, residual_norm: float):
-        super().__init__(message)
-        self.residual_norm = residual_norm
+
+class TrialRejected(SolverError):
+    """A residual evaluation rejects its trial point: Newton shortens the
+    step, and ends the solve when the start is rejected."""
 
 
 @dataclass(frozen=True)
@@ -83,10 +92,15 @@ class Factor:
     ``solve`` guarantees ||A x - b|| / max(1, ||b||) <= LU_RESIDUAL_BOUND or
     raises FactorizationError (also for exactly singular matrices).  The
     row maxima and the scaled entries are read off A's CSC arrays, and the
-    scaled matrix keeps A's ``indices`` and ``indptr``."""
+    scaled matrix keeps A's ``indices`` and ``indptr``.  A matrix not in
+    canonical format (sorted, unique row indices) gets a canonical copy,
+    since SuperLU sorts those shared ``indices`` in place."""
 
     def __init__(self, A):
         self.A = A = sp.csc_matrix(A)
+        if not A.has_canonical_format:
+            self.A = A = A.copy()
+            A.sum_duplicates()
         rmax = np.zeros(A.shape[0])
         np.maximum.at(rmax, A.indices, np.abs(A.data))
         self.row_scale = 1.0 / np.where(rmax > 0, rmax, 1.0)
@@ -129,18 +143,18 @@ class NewtonResult:
 
 
 def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
-           retryable: tuple = (), factor: Factor | None = None) -> NewtonResult:
+           factor: Factor | None = None) -> NewtonResult:
     """Newton iteration on residual(x) = 0, with chord steps on ``factor``
     and on the factors it builds (see the module docstring).
 
-    ``retryable`` lists exception types that a residual evaluation may
-    raise to reject a trial point; the line search then shortens the step.
-    The start ``x0`` is no trial: an exception its residual raises ends the
-    solve.  Raises NonconvergenceError when the tolerance is not met within
+    A residual evaluation raises TrialRejected to reject a trial point; the
+    line search then shortens the step.  The start ``x0`` is no trial: an
+    exception its residual raises ends the solve.  ``x0`` is never written
+    to.  Raises NonconvergenceError when the tolerance is not met within
     ``settings.max_iter`` iterations or a Newton step's line search finds no
     sufficient decrease, and propagates factorization failures.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
     rnorm = float(np.linalg.norm(r))
     it = factorizations = 0
@@ -151,7 +165,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                 trial = x + factor.solve(-r)
                 r_trial = np.asarray(residual(trial), dtype=float)
                 rnorm_trial = float(np.linalg.norm(r_trial))
-            except retryable:
+            except TrialRejected:
                 rnorm_trial = np.inf
             if not CHORD_CONTRACTION * rnorm_trial <= rnorm:
                 factor, chord = None, False  # too slow: stop reusing it
@@ -168,7 +182,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                 trial = x + scale * dx
                 try:
                     r_trial = np.asarray(residual(trial), dtype=float)
-                except retryable:
+                except TrialRejected:
                     if halving == MAX_HALVINGS:
                         raise
                     scale *= 0.5
@@ -182,8 +196,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
             else:
                 raise NonconvergenceError(
                     f"Newton stalled at residual norm {rnorm:.3e} above tolerance "
-                    f"{settings.tol:.3e}: {MAX_HALVINGS} step halvings found no decrease",
-                    residual_norm=rnorm)
+                    f"{settings.tol:.3e}: {MAX_HALVINGS} step halvings found no decrease")
         x, r, rnorm = accepted
         it += 1
     if rnorm <= settings.tol:
@@ -192,5 +205,4 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                             factorizations=factorizations)
     raise NonconvergenceError(
         f"Newton did not reach tolerance {settings.tol:.3e} within "
-        f"{settings.max_iter} iterations (residual norm {rnorm:.3e})",
-        residual_norm=rnorm)
+        f"{settings.max_iter} iterations (residual norm {rnorm:.3e})")

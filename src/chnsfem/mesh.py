@@ -32,9 +32,7 @@ class PeriodicTriMesh:
     Attributes
     ----------
     n : int
-        Subdivisions per axis.
-    h : float
-        Mesh size, ``1/n``.
+        Subdivisions per axis; the mesh size is h = 1/n.
     vertices : ndarray, shape (n*n, 2)
         Unique periodic vertex coordinates in [0,1)^2, ordered
         lexicographically by (x, y).
@@ -54,7 +52,6 @@ class PeriodicTriMesh:
     """
 
     n: int
-    h: float
     vertices: np.ndarray
     triangles: np.ndarray
     tri_coords: np.ndarray
@@ -74,13 +71,11 @@ class QuadRule:
 
     ``points`` are barycentric coordinates, shape (nq, 3); ``weights`` sum
     to the reference area 1/2 and are strictly positive for every shipped
-    rule.  ``degree`` is the highest total polynomial degree integrated
-    exactly.
+    rule.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def build_uniform(n: int) -> PeriodicTriMesh:
@@ -102,7 +97,7 @@ def build_uniform(n: int) -> PeriodicTriMesh:
     triangles = (grid[..., 0] % n) * n + grid[..., 1] % n
     tri_coords = grid * h
 
-    return PeriodicTriMesh(n=n, h=h, vertices=vertices, triangles=triangles,
+    return PeriodicTriMesh(n=n, vertices=vertices, triangles=triangles,
                            tri_coords=tri_coords)
 
 
@@ -170,7 +165,7 @@ def quad_rule(degree: int) -> QuadRule:
         raise ValueError(f"no quadrature rule of degree {degree}; shipped "
                          f"degrees are 1 to 6")
     points, weights = _symmetric_rule(_SYMMETRIC_RULES[lookup])
-    return QuadRule(points=points, weights=weights, degree=degree)
+    return QuadRule(points=points, weights=weights)
 
 
 def reference_monomial_integral(a: int, b: int) -> float:

@@ -38,13 +38,7 @@ from .fespace import (
     evaluator,
     interpolate,
 )
-from .la import (
-    FactorizationError,
-    NewtonSettings,
-    NonconvergenceError,
-    lu_solve,
-    newton,
-)
+from .la import NewtonSettings, SolverError, TrialRejected, lu_solve, newton
 from .mesh import PeriodicTriMesh
 from .physics import MaterialModel, SplitValidityWarning
 
@@ -71,18 +65,8 @@ _CHANNELS = [(key + suffix, trial, part)
              for part, suffix in enumerate(("", "x", "y"))] + [("pi", "pi", 0)]
 
 
-class PositivityError(RuntimeError):
+class PositivityError(TrialRejected):
     """Inverse temperature dropped to or below the positivity floor."""
-
-
-class StepFailure(RuntimeError):
-    """A time step could not be completed."""
-
-    def __init__(self, message: str, step_index: int | None,
-                 residual_norm: float | None):
-        super().__init__(message)
-        self.step_index = step_index
-        self.residual_norm = residual_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,23 +427,17 @@ class Stepper:
 
         try:
             result = newton(lambda x: self.residual_vector(old_fields, x), J, x0,
-                            self.cfg.newton, retryable=(PositivityError,),
-                            factor=self._factor)
-        except (NonconvergenceError, FactorizationError, PositivityError) as exc:
+                            self.cfg.newton, factor=self._factor)
+            result.x.setflags(write=False)
+            new_state, lam = self.unpack(result.x, old.time + self.cfg.tau)
+            if new_state.min_nodal_theta <= 0.0:
+                raise SolverError(
+                    f"nonpositive nodal inverse temperature "
+                    f"{new_state.min_nodal_theta:.3e} after the step")
+        except SolverError as exc:
             self._forget()
-            norm = getattr(exc, "residual_norm", None)
-            raise StepFailure(
-                f"time step at t = {old.time:.6g} failed: {exc}",
-                step_index=step_index, residual_norm=norm) from exc
-
-        result.x.setflags(write=False)
-        new_state, lam = self.unpack(result.x, old.time + self.cfg.tau)
-        if new_state.min_nodal_theta <= 0.0:
-            self._forget()
-            raise StepFailure(
-                f"nonpositive nodal inverse temperature "
-                f"{new_state.min_nodal_theta:.3e} after the step",
-                step_index=step_index, residual_norm=result.residual_norm)
+            exc.step_index = step_index
+            raise
         self._factor, self._current = result.factor, new_state
         self._history = (*self._history[-4:], result.x)
         floor = self.model.split_theta_floor

@@ -40,7 +40,7 @@ def conical_rule(degree):
     y = (vv * (1.0 - uu)).ravel()
     w = (np.outer(wj / 4.0, wg / 2.0)).ravel()
     points = np.column_stack([1.0 - x - y, x, y])
-    return QuadRule(points=points, weights=w, degree=degree)
+    return QuadRule(points=points, weights=w)
 
 
 def per_element_tabulation(space, rule):

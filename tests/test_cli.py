@@ -299,6 +299,22 @@ def test_step_below_the_residual_floor_fails(tmp_path, capsys):
     assert "error: solver failed at step 1: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    # a diagnostics row rejects the first step
+    ("chnsfem.diagnostics.D_NUM_FLOOR", 1.0,
+     "error: solver failed at step 1: numerical dissipation"),
+    # the initial projection's solve fails before any step
+    ("chnsfem.la.LU_RESIDUAL_BOUND", 0.0,
+     "error: solver failed: solution rejected"),
+])
+def test_solver_failure_outside_newton_exit_code(tmp_path, capsys, monkeypatch,
+                                                 setting, value, message):
+    monkeypatch.setattr(setting, value)
+    path = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path / "out"))
+    assert main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "converge"])
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, command):
     def no_memory(n):

@@ -11,6 +11,7 @@ from chnsfem.la import (
     FactorizationError,
     NewtonSettings,
     NonconvergenceError,
+    TrialRejected,
     lu_solve,
     newton,
 )
@@ -103,6 +104,25 @@ def test_factor_scales_rows_on_the_pattern_of_a():
     assert np.array_equal(factor.row_scale, 1.0 / abs(J).max(axis=1).toarray().ravel())
 
 
+def test_factor_leaves_a_non_canonical_input_unchanged():
+    # row indices running backwards in every column: SuperLU sorts the
+    # indices it is given in place, and must not reach this matrix's
+    rng = np.random.default_rng(11)
+    K = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    rows = np.tile(np.arange(5, -1, -1), 6)
+    U = sp.csc_matrix((K[rows, np.repeat(np.arange(6), 6)], rows,
+                       np.arange(0, 37, 6)), shape=(6, 6))
+    assert not U.has_canonical_format
+    indices, data = U.indices.copy(), U.data.copy()
+    factor = Factor(U)
+    assert np.array_equal(U.indices, indices) and np.array_equal(U.data, data)
+    assert np.array_equal(U.toarray(), K)
+    b = rng.standard_normal(6)
+    x = factor.solve(b)
+    assert np.linalg.norm(K @ x - b) / max(1.0, np.linalg.norm(b)) \
+        <= LU_RESIDUAL_BOUND
+
+
 def test_newton_square_root():
     def r(x):
         return x**2 - 4.0
@@ -135,7 +155,7 @@ def test_newton_degenerate_root_nonconvergence():
 
     with pytest.raises(NonconvergenceError) as info:
         newton(r, J, np.array([1.0]), NewtonSettings(tol=1e-12, max_iter=5))
-    assert info.value.residual_norm > 0
+    assert "(residual norm 9.766e-04)" in str(info.value)
 
 
 def test_damping_rescues_overshooting_iteration():
@@ -167,11 +187,11 @@ def test_newton_stops_at_the_residual_floor():
     with pytest.raises(NonconvergenceError) as info:
         newton(r, J, np.array([2.0]), NewtonSettings(tol=1e-12, max_iter=30))
     assert len(factorizations) <= 2
-    assert info.value.residual_norm == pytest.approx(1e-11)
+    assert "stalled at residual norm 1.000e-11" in str(info.value)
 
 
 def test_retryable_error_shortens_step():
-    class OutOfDomain(RuntimeError):
+    class OutOfDomain(TrialRejected):
         pass
 
     def r(x):
@@ -183,8 +203,7 @@ def test_retryable_error_shortens_step():
         return sp.csc_matrix([[1.0 / x[0]]])
 
     # the full step from 3.0 lands at 3*(1 - log 3) < 0
-    res = newton(r, J, np.array([3.0]), NewtonSettings(tol=1e-12, max_iter=30),
-                 retryable=(OutOfDomain,))
+    res = newton(r, J, np.array([3.0]), NewtonSettings(tol=1e-12, max_iter=30))
     assert abs(res.x[0] - 1.0) <= 1e-12
 
 
@@ -226,7 +245,7 @@ def test_chord_with_nearby_factor_reaches_the_newton_root():
 
 
 def test_stale_factor_leaving_the_domain_falls_back_to_newton():
-    class OutOfDomain(RuntimeError):
+    class OutOfDomain(TrialRejected):
         pass
 
     def r(x):
@@ -240,7 +259,7 @@ def test_stale_factor_leaving_the_domain_falls_back_to_newton():
     # the chord step from 3.0 with the slope at 5.0 lands at 3 - 5 log 3 < 0
     stale = Factor(J(np.array([5.0])))
     res = newton(r, J, np.array([3.0]), NewtonSettings(tol=1e-12, max_iter=30),
-                 retryable=(OutOfDomain,), factor=stale)
+                 factor=stale)
     assert abs(res.x[0] - 1.0) <= 1e-12
     assert res.factorizations >= 1 and res.factor is not stale
 

@@ -85,8 +85,8 @@ def test_numbering(n):
     a = np.column_stack([i, j])
     b, c, d = a + (1, 0), a + (1, 1), a + (0, 1)
     expected = np.stack([np.stack([a, b, c], 1), np.stack([a, c, d], 1)], 1)
-    assert np.array_equal(mesh.tri_coords, expected.reshape(-1, 3, 2) * mesh.h)
-    assert np.array_equal(mesh.vertices, a * mesh.h)
+    assert np.array_equal(mesh.tri_coords, expected.reshape(-1, 3, 2) * (1 / n))
+    assert np.array_equal(mesh.vertices, a * (1 / n))
     # each triangle's vertex indices name its wrapped corners (exact for
     # these n, where n * (1/n) rounds to 1)
     assert np.array_equal(mesh.vertices[mesh.triangles], mesh.tri_coords % 1.0)
@@ -128,8 +128,9 @@ def test_element_geometry_uniform_area():
     mesh = build_uniform(2)
     space = build_space(mesh, P1)
     weights = per_element_tabulation(space, quad_rule(6))[1]
-    assert np.abs(weights.sum(axis=1) - mesh.h**2 / 2).max() <= 1e-15
-    assert abs(tabulate(space, quad_rule(6))[1].sum() - mesh.h**2 / 2) <= 1e-15
+    area = (1 / mesh.n)**2 / 2
+    assert np.abs(weights.sum(axis=1) - area).max() <= 1e-15
+    assert abs(tabulate(space, quad_rule(6))[1].sum() - area) <= 1e-15
 
 
 def test_affine_map_hits_triangle_corners():
