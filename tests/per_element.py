@@ -6,7 +6,7 @@ affine map of its own corner coordinates ``mesh.tri_coords``.  The
 evaluator keeps one table per triangle type instead, so the tests check its
 tables, fields, integrals and Jacobian against this one.
 
-The solver ships the quadrature rules of degrees 1 to 6 only;
+The solver ships one quadrature rule, of degree 6;
 :func:`conical_rule` serves the tests that need a higher degree.
 """
 

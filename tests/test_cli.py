@@ -14,6 +14,7 @@ from chnsfem.cli import (
     parse_config,
     write_vtk_snapshot,
 )
+from chnsfem.la import NonconvergenceError, newton
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -284,7 +285,49 @@ def test_run_solver_failure_exit_code(tmp_path, capsys, command):
         "level = 0", "level = 1") + "\n[scheme]\ntheta_floor = 2.0\n"
     path = write_config(tmp_path, text)
     assert main([command, "--config", str(path)]) == 1
-    assert "error: solver failed at step 1: " in capsys.readouterr().err
+    where = {"run": "step 1", "converge": "level 0, step 1"}[command]
+    assert f"error: solver failed at {where}: " in capsys.readouterr().err
+
+
+def test_converge_failure_names_its_level(tmp_path, capsys, monkeypatch):
+    # the second solve of level 1 (n=8) fails: step 2 of level 0 (n=4)
+    # would fail with the same step and reason
+    level1_size = 12 * 8**2 + 1
+    solves = []
+
+    def failing_newton(residual, jacobian, x0, *args, **kwargs):
+        solves.append(len(x0))
+        if solves.count(level1_size) == 2:
+            raise NonconvergenceError("forced")
+        return newton(residual, jacobian, x0, *args, **kwargs)
+
+    monkeypatch.setattr("chnsfem.scheme.newton", failing_newton)
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "base = 8\nlevel = 0", "base = 4\nlevel = 1").replace(
+        "tau = 1e-4\nT = 1e-3", "tau = 2.5e-4\nT = 5e-4")
+    path = write_config(tmp_path, text)
+    assert main(["converge", "--config", str(path)]) == 1
+    assert solves.count(level1_size) == 2
+    assert "error: solver failed at level 1, step 2: forced\n" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, expected", [
+    # a step under the smallest normal float: final_time / step overflows
+    ("validate", "[time]\nc_tau = 1e-320\n", "final time 0.002 "),
+    ("run", "[time]\nT = 1e300\ntau = 1e-10\n",
+     "final time 1e+300 over the step 1e-10 overflows"),
+])
+def test_step_count_overflow_exit_code(tmp_path, capsys, command, section,
+                                       expected):
+    path = write_config(tmp_path, section)
+    assert main([command, "--config", str(path),
+                 "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert "overflows the step count" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_below_the_residual_floor_fails(tmp_path, capsys):
@@ -417,7 +460,7 @@ def test_usage_error_exit_code():
 
 
 def test_run_leaves_scipy_special_unloaded(tmp_path):
-    # the shipped quadrature rules are tabulated, so neither the package
+    # the shipped quadrature rule is tabulated, so neither the package
     # nor a run imports scipy.special
     path = write_config(tmp_path, BASE_CONFIG.format(outdir=tmp_path / "out")
                         .replace("base = 8", "base = 4"))

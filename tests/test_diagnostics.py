@@ -112,7 +112,7 @@ def test_first_step_dissipation_decomposition(short_run, model):
 
 def test_run_invariants_over_fifty_steps(short_run, model):
     cfg, states, stats, fields = short_run
-    records = [initial_record(states[0], fields[0], model, cfg)]
+    records = [initial_record(states[0], fields[0], model)]
     for k in range(1, len(states)):
         records.append(record(states[k], fields[k], fields[k - 1], model, cfg,
                               step_index=k, newton_iters=stats[k - 1].iterations))
@@ -184,7 +184,7 @@ def test_rows_evaluate_no_fields(short_run, model, monkeypatch):
     fields_of = Evaluator.fields
     monkeypatch.setattr(Evaluator, "fields",
                         lambda self, c: calls.append(1) or fields_of(self, c))
-    first = initial_record(states[0], fields[0], model, cfg)
+    first = initial_record(states[0], fields[0], model)
     rec = record(states[2], fields[2], fields[1], model, cfg, step_index=2)
     assert calls == []
     assert (first.mass, first.kinetic, first.internal, first.entropy) \

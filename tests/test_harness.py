@@ -128,8 +128,8 @@ def _fake_refined(result: RunResult) -> RunResult:
             states.append(mid)
     # halve the recorded times of interior nodes: only values at coarse
     # times and interval values enter the comparison
-    return RunResult(config=fine_cfg, mesh=mesh, spaces=spaces, states=states,
-                     records=[], newton_stats=[])
+    return RunResult(config=fine_cfg, mesh=mesh, states=states, records=[],
+                     newton_stats=[])
 
 
 def test_identical_trajectories_have_zero_error(short_run):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from per_element import conical_rule, per_element_tabulation
 
-from chnsfem.fespace import P1, build_space, tabulate
+from chnsfem.fespace import P1, QUAD_DEGREE, build_space, tabulate
 from chnsfem.mesh import (
     TRIANGLE_TYPES,
     build_uniform,
@@ -206,7 +206,16 @@ def test_random_degree6_polynomial_matches_analytic_integral():
         assert abs(float(approx) - exact) <= 1e-13
 
 
+def test_every_degree_gets_the_rule_the_solver_runs():
+    # one rule serves degrees 1 to 6: the degree-6 rule the assembly uses
+    solver_rule = quad_rule(QUAD_DEGREE)
+    for degree in range(1, 7):
+        rule = quad_rule(degree)
+        assert np.array_equal(rule.points, solver_rule.points), degree
+        assert np.array_equal(rule.weights, solver_rule.weights), degree
+
+
 def test_unsupported_degree():
-    for degree in (0, 7):
+    for degree in (0, 7, 3.5):
         with pytest.raises(ValueError):
             quad_rule(degree)

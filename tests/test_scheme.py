@@ -208,6 +208,17 @@ def test_multiplier_column_is_p1_load_vector(setup4, model):
     assert np.abs(np.delete(row, np.arange(off_pi, off_pi + n1))).max() == 0.0
 
 
+@pytest.mark.parametrize("star_rule", ["old", "new"])
+def test_kernels_key_densities_by_their_test_unknown(setup4, model, star_rule):
+    # the residual and the Jacobian pair each density with the test space of
+    # the unknown it is keyed by, so the keys are the unknowns, in order
+    mesh, spaces, state = setup4
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3, star_rule=star_rule))
+    fields = stepper.fields_from_state(state)
+    kern = _kernels(fields, fields, 0.0, model, stepper.cfg)
+    assert list(kern) == list(stepper.off)
+
+
 def _per_element_jacobian(stepper, old_fields, x):
     """The Jacobian assembled element by element: each (equation, channel)
     block contracts the derivative densities with every element's own
@@ -226,10 +237,10 @@ def _per_element_jacobian(stepper, old_fields, x):
     rows, cols, vals = [], [], []
     for key, trial_field, part in _CHANNELS:
         new = {**plain, key: plain[key] + 1j * STEP}
-        star = old_fields if stepper.cfg.star_rule == "old" else new
-        kern = _kernels(new, old_fields, star, lam, stepper.model, stepper.cfg.tau)
+        kern = _kernels(new, old_fields, lam, stepper.model, stepper.cfg)
         trial, trial_dofs = local[trial_field]
-        for densities, (test, test_dofs) in zip(kern.values(), local.values()):
+        for test_field, densities in kern.items():
+            test, test_dofs = local[test_field]
             ks = [k for k, d in enumerate(densities)
                   if d is not None and np.any(d.imag)]
             if not ks:
