@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import norm
 from scipy.sparse.linalg import splu
 
 #: relative residual bound guaranteed (and enforced) by Factor.solve
@@ -124,8 +125,10 @@ class Factor:
         x = self.lu.solve(self.row_scale * b)
         if not np.all(np.isfinite(x)):
             raise FactorizationError("sparse LU produced non-finite values")
-        resid = np.linalg.norm(self.A @ x - b) / max(1.0, np.linalg.norm(b))
-        if resid > LU_RESIDUAL_BOUND:
+        # BLAS nrm2 scales its sum: only a norm past 1.8e308 overflows; NaN fails
+        resid = norm(self.A @ x - b, check_finite=False) / max(
+            1.0, norm(b, check_finite=False))
+        if not resid <= LU_RESIDUAL_BOUND:
             raise FactorizationError(
                 f"solution rejected: relative residual {resid:.3e} exceeds "
                 f"{LU_RESIDUAL_BOUND:.0e} (matrix numerically singular?)")
@@ -172,8 +175,8 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                 rnorm_trial = float(np.linalg.norm(r_trial))
             except TrialRejected:
                 rnorm_trial = np.inf
-            if not CHORD_CONTRACTION * rnorm_trial <= rnorm:
-                factor, chord = None, False  # too slow: stop reusing it
+            if not (CHORD_CONTRACTION * rnorm_trial <= rnorm and rnorm_trial < rnorm):
+                factor, chord = None, False  # too slow or rejected: stop reusing it
             if not rnorm_trial < rnorm:
                 continue  # rejected: x stays, no iteration spent
             accepted = (trial, r_trial, rnorm_trial)

@@ -129,18 +129,25 @@ class NewtonStats:
     extrapolated: bool  # Newton started from the extrapolated guess
 
 
-def _kernels(new: dict, old: dict, lam, model: MaterialModel, cfg: StepperConfig):
+def _kernels(new: dict, old: dict, lam, model: MaterialModel, cfg: StepperConfig,
+             out: dict) -> dict:
     """Pointwise residual densities of the five coupled equations, with the
-    frozen coefficients at the level ``cfg.star_rule`` names.
+    frozen coefficients at the level ``cfg.star_rule`` names, written into
+    ``out`` and returned in it.
 
     Each scalar-test equation yields (S, Vx, Vy) with residual entries
     sum_q w * (S * N_i + Vx * dN_i/dx + Vy * dN_i/dy); the two momentum
-    components play the same role against the vector basis.  Each is keyed
-    by the unknown whose test functions it is tested with, in the order of
-    the unknowns (phi, mu, theta, u1, u2, pi).  The densities are
-    complex-analytic in the fields, so with one field of ``new`` stepped by
-    i*STEP their imaginary parts over STEP are its pointwise derivatives to
-    roundoff.
+    components play the same role against the vector basis.  ``out`` maps
+    each unknown whose test functions an equation is tested with, in the
+    order of the unknowns (phi, mu, theta, u1, u2, pi), to a container of
+    three slots, (S, Vx, Vy); each density is assigned to its slot as soon
+    as it is computed, and pi gets slot 0 only.  The residual passes views
+    of the arrays it integrates, so the densities need no copy.  The
+    Jacobian passes lists: its densities are complex, and a list keeps each
+    one its own array, so those that do not depend on the stepped field
+    stay real.  The densities are complex-analytic in the fields, so with
+    one field of ``new`` stepped by i*STEP their imaginary parts over STEP
+    are its pointwise derivatives to roundoff.
     """
     tau = cfg.tau
     star = old if cfg.star_rule == STAR_OLD else new
@@ -178,50 +185,44 @@ def _kernels(new: dict, old: dict, lam, model: MaterialModel, cfg: StepperConfig
     inv_ts2 = 1.0 / (ts * ts)
 
     # phase transport
-    s1 = (p - old["p"]) / tau
-    v1x = -(ps * um1) + (L11[0, 0] * mx + L11[0, 1] * my) \
+    out["phi"][0] = (p - old["p"]) / tau
+    out["phi"][1] = -(ps * um1) + (L11[0, 0] * mx + L11[0, 1] * my) \
         - (L12[0, 0] * tx + L12[0, 1] * ty)
-    v1y = -(ps * um2) + (L11[1, 0] * mx + L11[1, 1] * my) \
+    out["phi"][2] = -(ps * um2) + (L11[1, 0] * mx + L11[1, 1] * my) \
         - (L12[1, 0] * tx + L12[1, 1] * ty)
 
     # chemical potential with split driving force
-    s2 = m - (model.dphi_psi_vex(p, t) + model.dphi_psi_cav(old["p"], t))
-    v2x = -(g * px)
-    v2y = -(g * py)
+    out["mu"][0] = m - (model.dphi_psi_vex(p, t) + model.dphi_psi_cav(old["p"], t))
+    out["mu"][1] = -(g * px)
+    out["mu"][2] = -(g * py)
 
     # internal energy balance
     cx = ps * inv_t * mx - inv_t * (sig11 * tx + sig12 * ty)
     cy = ps * inv_t * my - inv_t * (sig12 * tx + sig22 * ty)
     e_new = model.e(p, t)
     e_old = model.e(old["p"], old["t"])
-    s3 = (e_new - e_old) / tau - eta_s * dsq - (cx * um1 + cy * um2) \
+    out["theta"][0] = (e_new - e_old) / tau - eta_s * dsq - (cx * um1 + cy * um2) \
         + a_s * inv_ts2 * (um1 * tx + um2 * ty)
-    v3x = (L12[0, 0] * mx + L12[0, 1] * my) - (L22[0, 0] * tx + L22[0, 1] * ty) \
+    out["theta"][1] = (L12[0, 0] * mx + L12[0, 1] * my) \
+        - (L22[0, 0] * tx + L22[0, 1] * ty) \
         - (sig11 * um1 + sig12 * um2) - a_s * inv_ts2 * (t * um1)
-    v3y = (L12[1, 0] * mx + L12[1, 1] * my) - (L22[1, 0] * tx + L22[1, 1] * ty) \
+    out["theta"][2] = (L12[1, 0] * mx + L12[1, 1] * my) \
+        - (L22[1, 0] * tx + L22[1, 1] * ty) \
         - (sig12 * um1 + sig22 * um2) - a_s * inv_ts2 * (t * um2)
 
     # momentum
     k1 = cx - a_s * inv_ts2 * tx
     k2 = cy - a_s * inv_ts2 * ty
-    m1 = (u1 - old["u1"]) / tau + 0.5 * (us1 * gum1x + us2 * gum1y) + k1
-    m2 = (u2 - old["u2"]) / tau + 0.5 * (us1 * gum2x + us2 * gum2y) + k2
-    t11 = eta_s * d11 - pi - 0.5 * (um1 * us1)
-    t12 = eta_s * d12 - 0.5 * (um1 * us2)
-    t21 = eta_s * d12 - 0.5 * (um2 * us1)
-    t22 = eta_s * d22 - pi - 0.5 * (um2 * us2)
+    out["u1"][0] = (u1 - old["u1"]) / tau + 0.5 * (us1 * gum1x + us2 * gum1y) + k1
+    out["u2"][0] = (u2 - old["u2"]) / tau + 0.5 * (us1 * gum2x + us2 * gum2y) + k2
+    out["u1"][1] = eta_s * d11 - pi - 0.5 * (um1 * us1)
+    out["u1"][2] = eta_s * d12 - 0.5 * (um1 * us2)
+    out["u2"][1] = eta_s * d12 - 0.5 * (um2 * us1)
+    out["u2"][2] = eta_s * d22 - pi - 0.5 * (um2 * us2)
 
     # divergence constraint (lam pins the pressure mean)
-    s5 = gum1x + gum2y + lam
-
-    return {
-        "phi": (s1, v1x, v1y),
-        "mu": (s2, v2x, v2y),
-        "theta": (s3, v3x, v3y),
-        "u1": (m1, t11, t12),
-        "u2": (m2, t21, t22),
-        "pi": (s5, None, None),
-    }
+    out["pi"][0] = gum1x + gum2y + lam
+    return out
 
 
 def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
@@ -350,14 +351,14 @@ class Stepper:
         """Assemble the coupled residual at the guess vector ``x``."""
         new = self.fields_from_vector(x)
         self._check_positivity(new["t"])
-        kern = _kernels(new, old_fields, float(x[self.lam_index]), self.model, self.cfg)
-
-        # densities (value, x, y parts) against the scalar and vector bases
+        # densities (value, x, y parts) against the scalar and vector bases,
+        # allocated before the kernels' temporaries; pi's x and y parts stay 0
         scalar = np.zeros((4,) + self.ev1.shape)
-        scalar[:3] = [kern["phi"], kern["mu"], kern["theta"]]
-        scalar[3, 0] = kern["pi"][0]
+        vector = np.empty((2,) + self.ev2.shape)
+        _kernels(new, old_fields, float(x[self.lam_index]), self.model, self.cfg,
+                 dict(zip(self.off, (*scalar[:3], *vector, scalar[3]))))
         r1 = self.ev1.integrate(scalar)
-        r2 = self.ev2.integrate(np.array([kern["u1"], kern["u2"]]))
+        r2 = self.ev2.integrate(vector)
         pi = x[self.off["pi"]:self.lam_index]
         return np.concatenate([r1[:3].ravel(), r2, r1[3], [self.p1_load @ pi]])
 
@@ -391,7 +392,8 @@ class Stepper:
         blocks = {}  # test field -> (types, elements, a*b)
         for key, _, part in channels:
             new = {**plain, key: plain[key] + 1j * STEP}
-            kern = _kernels(new, old_fields, lam, self.model, self.cfg)
+            kern = _kernels(new, old_fields, lam, self.model, self.cfg,
+                            {field: [None] * 3 for field in self.off})
             for test_field, densities in kern.items():
                 ks = [k for k, d in enumerate(densities)
                       if d is not None and np.any(d.imag)]

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ def test_factor_leaves_a_non_canonical_input_unchanged():
     x = factor.solve(b)
     assert np.linalg.norm(K @ x - b) / max(1.0, np.linalg.norm(b)) \
         <= LU_RESIDUAL_BOUND
+
+
+def test_solve_rejects_a_wrong_solution_whose_norms_overflow():
+    # ||b|| of entries near 1e200 overflows a plain sum of squares, and
+    # inf / inf is NaN, which no "greater than" test rejects
+    factor = Factor(sp.identity(4, format="csc"))
+    factor.lu = SimpleNamespace(solve=lambda rhs: 1e10 * rhs)
+    with pytest.raises(FactorizationError, match="relative residual 1.000e"):
+        factor.solve(np.full(4, 1e200))
+
+
+def test_solve_accepts_a_correct_solution_whose_norms_overflow():
+    # the roundoff residual (about 1e184) overflows a plain sum of squares too
+    A = sp.diags([np.ones(3), np.full(4, 4.0), np.ones(3)], [-1, 0, 1], format="csc")
+    b = 1e200 * np.array([1.0, 2.0, 3.0, 4.0])
+    x = Factor(A).solve(b)
+    assert np.abs(A @ x - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_newton_square_root():
@@ -282,6 +300,27 @@ def test_stale_factor_increasing_the_residual_is_abandoned():
     # plain solve, chord steps on its own factors included
     assert res.iterations == full.iterations
     assert res.factorizations == full.factorizations
+
+
+def test_rejected_chord_trial_drops_its_factor_when_norms_overflow():
+    # both norms overflow to inf: inf <= inf would keep the factor, and
+    # inf < inf rejects the trial without spending an iteration
+    calls = []
+
+    def r(x):
+        calls.append(x.copy())
+        if len(calls) > 200:
+            pytest.fail(f"Newton spins: 200 residuals, the last at {x}")
+        return 1e200 * ((x - 1.0) + (x - 1.0) ** 2)
+
+    def J(x):
+        return sp.diags(1e200 * (1.0 + 2.0 * (x - 1.0)), format="csc")
+
+    stale = Factor(1e200 * sp.identity(2, format="csc"))
+    with np.errstate(over="ignore"):
+        res = newton(r, J, np.array([3.0, 3.0]), NewtonSettings(), factor=stale)
+    assert np.array_equal(res.x, [1.0, 1.0])
+    assert res.factor is not stale and len(calls) < 20
 
 
 def test_plain_solve_chords_on_its_fresh_factor():

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from per_element import conical_rule, per_element_tabulation
 from scipy.sparse.linalg import splu
 
-from chnsfem import fespace, harness
+from chnsfem import fespace, harness, scheme
 from chnsfem.fespace import QUAD_DEGREE, FeFunction, evaluator
 from chnsfem.la import (
     LU_RESIDUAL_BOUND,
@@ -215,8 +215,41 @@ def test_kernels_key_densities_by_their_test_unknown(setup4, model, star_rule):
     mesh, spaces, state = setup4
     stepper = Stepper(spaces, model, StepperConfig(tau=1e-3, star_rule=star_rule))
     fields = stepper.fields_from_state(state)
-    kern = _kernels(fields, fields, 0.0, model, stepper.cfg)
+    kern = _kernels(fields, fields, 0.0, model, stepper.cfg,
+                    {field: [None] * 3 for field in stepper.off})
     assert list(kern) == list(stepper.off)
+    # the residual's velocity densities start uninitialized and pi's
+    # gradient slots must stay zero: the kernels write every other slot
+    written = [(f, k) for f, slots in kern.items() for k, d in enumerate(slots)
+               if d is not None]
+    assert written == [(f, k) for f in stepper.off for k in range(3)
+                       if f != "pi" or k == 0]
+
+
+def test_residual_integrates_the_kernels_own_arrays(setup4, model, monkeypatch):
+    # the kernels write each density into the array the residual integrates
+    mesh, spaces, state = setup4
+    stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
+    old_fields = stepper.fields_from_state(state)
+    written, integrated = [], []
+
+    def kernels(*args):
+        written.append(_kernels(*args))
+        return written[-1]
+
+    def integrate(ev, densities):
+        integrated.append((ev, densities))
+        return real_integrate(ev, densities)
+
+    real_integrate = fespace.Evaluator.integrate
+    monkeypatch.setattr(scheme, "_kernels", kernels)
+    monkeypatch.setattr(fespace.Evaluator, "integrate", integrate)
+    stepper.residual_vector(old_fields, stepper.pack(state))
+    (out,) = written
+    for field, slots in out.items():
+        (densities,) = [d for ev, d in integrated if ev is stepper._ev[field]]
+        for k, d in enumerate(slots):
+            assert np.shares_memory(d, densities), (field, k)
 
 
 def _per_element_jacobian(stepper, old_fields, x):
@@ -237,7 +270,8 @@ def _per_element_jacobian(stepper, old_fields, x):
     rows, cols, vals = [], [], []
     for key, trial_field, part in _CHANNELS:
         new = {**plain, key: plain[key] + 1j * STEP}
-        kern = _kernels(new, old_fields, lam, stepper.model, stepper.cfg)
+        kern = _kernels(new, old_fields, lam, stepper.model, stepper.cfg,
+                        {field: [None] * 3 for field in stepper.off})
         trial, trial_dofs = local[trial_field]
         for test_field, densities in kern.items():
             test, test_dofs = local[test_field]
