@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import evaluator
 from .la import SolverError
 from .physics import MaterialModel
 from .scheme import STAR_OLD, State, StepperConfig, quadrature_fields
@@ -52,7 +51,7 @@ class DiagnosticsRecord:
 
 def _level_fields(state: State) -> dict:
     return quadrature_fields(
-        evaluator(state.phi.space), evaluator(state.u.space),
+        state.phi.space, state.u.space,
         np.stack([state.phi.coefficients, state.mu.coefficients,
                   state.theta.coefficients, state.pi.coefficients]),
         state.u.coefficients)
@@ -92,8 +91,7 @@ def _dissipation(new: dict, old: dict, w: np.ndarray, model: MaterialModel,
 def state_functionals(state: State, model: MaterialModel
                       ) -> tuple[float, float, float, float]:
     """(mass, kinetic energy, internal energy, entropy) of one level."""
-    return _functionals(_level_fields(state),
-                        evaluator(state.phi.space).weights, model)
+    return _functionals(_level_fields(state), state.phi.space.weights, model)
 
 
 def physical_dissipation(new: State, old: State, model: MaterialModel,
@@ -105,7 +103,7 @@ def physical_dissipation(new: State, old: State, model: MaterialModel,
     positive.
     """
     return _dissipation(_level_fields(new), _level_fields(old),
-                        evaluator(new.phi.space).weights, model, cfg.star_rule)
+                        new.phi.space.weights, model, cfg.star_rule)
 
 
 def numerical_dissipation(new: State, old: State, model: MaterialModel,
@@ -121,7 +119,7 @@ def record(new: State, fields: dict, old_fields: dict, model: MaterialModel,
            newton_iters: int = 0) -> DiagnosticsRecord:
     """Diagnostics row for the step to ``new``, read from the quadrature
     fields (``scheme.quadrature_fields``) of ``new`` and of the old level."""
-    w = evaluator(new.phi.space).weights
+    w = new.phi.space.weights
     mass, kinetic, internal, entropy = _functionals(fields, w, model)
     tau_diss = cfg.tau * _dissipation(fields, old_fields, w, model,
                                       cfg.star_rule)
@@ -140,8 +138,7 @@ def record(new: State, fields: dict, old_fields: dict, model: MaterialModel,
 def initial_record(state: State, fields: dict, model: MaterialModel
                    ) -> DiagnosticsRecord:
     """Row for the initial level (no step yet), read from its fields."""
-    mass, kinetic, internal, entropy = _functionals(
-        fields, evaluator(state.phi.space).weights, model)
+    mass, kinetic, internal, entropy = _functionals(fields, state.phi.space.weights, model)
     return DiagnosticsRecord(
         step=0, time=state.time, mass=mass, kinetic=kinetic,
         internal=internal, entropy=entropy, tau_dissipation=0.0, d_num=0.0,

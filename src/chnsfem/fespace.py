@@ -3,10 +3,11 @@
 P1 holds the phase field, the chemical potential, the inverse temperature
 and the pressure; vector P2 holds the velocity (Taylor-Hood).  Provides
 degree-of-freedom maps that respect the periodic identification, basis
-tabulation at quadrature points, the per-space evaluator that evaluates
-fields and assembles vectors and matrices through one basis table per
-triangle type, nodal interpolation, point evaluation, exact nested
-prolongation and the skew-symmetric convection form.
+tabulation at quadrature points, nodal interpolation, point evaluation,
+exact nested prolongation and the skew-symmetric convection form.  Each
+space holds its tabulation under the one rule, one basis table per
+triangle type, built with the space; through it the space evaluates
+fields and assembles vectors and matrices.
 
 DOF ordering is deterministic: vertices first (the mesh's lexicographic
 vertex order), then edge midpoints sorted lexicographically by their
@@ -35,6 +36,22 @@ QUAD_DEGREE = 6
 
 @dataclass(frozen=True, eq=False)
 class FunctionSpace:
+    """A periodic space with its tabulation under the degree-QUAD_DEGREE
+    rule: field evaluation at the quadrature points, and assembly against
+    its test functions.
+
+    ``basis`` and ``weights`` are :func:`tabulate`'s tables, one per
+    triangle type: the triangles of one type are translates of each other,
+    so they share it.  ``dofs[t, j]`` holds the scalar DOFs of the j-th
+    triangle of type ``t``.  :meth:`fields` gathers the coefficients through
+    ``dofs`` and takes one dense product per basis part; :meth:`integrate`,
+    its transpose, multiplies back by the weighted table and adds each
+    triangle's entries into its DOFs; :meth:`element_matrices` and
+    :meth:`matrix_entries` do the same for matrices.  Assembly, diagnostics
+    and error norms all go through this one tabulation, so every integral
+    uses the same rule.
+    """
+
     mesh: PeriodicTriMesh
     family: str
     dof_count: int
@@ -45,12 +62,91 @@ class FunctionSpace:
     node_coords: np.ndarray
     num_components: int
     scalar_dof_count: int
-    #: quadrature degree -> Evaluator, filled by :func:`evaluator`
-    evaluators: dict = field(default_factory=dict, repr=False)
+    # the tables, set once when the space is built
+    basis: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    dofs: np.ndarray = field(init=False, repr=False)
+    shape: tuple = field(init=False, repr=False)
+    _weighted: np.ndarray = field(init=False, repr=False)  # integrate's table
+
+    def __post_init__(self):
+        basis, weights = tabulate(self, quad_rule(QUAD_DEGREE))
+        tables = {"basis": basis, "weights": weights,
+                  "_weighted": weights[:, None] * basis,
+                  "dofs": np.ascontiguousarray(self.by_type(self.element_dof_table)),
+                  "shape": (3, self.mesh.num_triangles, len(weights))}
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     @property
     def is_vector(self) -> bool:
         return self.num_components == 2
+
+    @staticmethod
+    def by_type(per_triangle: np.ndarray, axis: int = 0) -> np.ndarray:
+        """A view of ``per_triangle`` with the axes (type, triangle of that
+        type) in place of its triangle axis ``axis``: triangle e is the
+        (e // TRIANGLE_TYPES)-th of type e % TRIANGLE_TYPES."""
+        shape = per_triangle.shape
+        split = shape[:axis] + (-1, TRIANGLE_TYPES) + shape[axis + 1:]
+        return per_triangle.reshape(split).swapaxes(axis, axis + 1)
+
+    def fields(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values and derivatives at the points, shape ``lead + (3, ne, nq)``
+        for coefficients of shape ``lead + (dof_count,)``; a vector space
+        adds a component axis before the ``3``."""
+        coeffs = np.asarray(coeffs)
+        lead = coeffs.shape[:-1] + ((2,) if self.num_components == 2 else ())
+        rows = coeffs.reshape(-1, self.scalar_dof_count)
+        local = rows[:, self.dofs]  # (functions, types, triangles, nb)
+        out = np.empty((len(rows),) + self.shape)
+        out_by_type = self.by_type(out, axis=2)
+        for k, table in enumerate(self.basis):
+            np.matmul(local, table.swapaxes(1, 2), out=out_by_type[:, k])
+        return out.reshape(lead + self.shape)
+
+    def integrate(self, densities: np.ndarray) -> np.ndarray:
+        """The transpose of :meth:`fields`: entry i is the weighted sum of
+        ``densities[0]*N_i + densities[1]*dN_i/dx + densities[2]*dN_i/dy``
+        over all points, for every leading index."""
+        d = np.asarray(densities)
+        lead = d.shape[:-3 - (self.num_components == 2)]
+        d = self.by_type(d.reshape((-1,) + self.shape), axis=2)
+        local = d[:, 0] @ self._weighted[0]
+        local += d[:, 1] @ self._weighted[1]
+        local += d[:, 2] @ self._weighted[2]
+        # one bincount for all rows: row r's DOFs are shifted by r * n
+        n = self.scalar_dof_count
+        dofs = self.dofs.ravel() + n * np.arange(len(local))[:, None]
+        return np.bincount(dofs.ravel(), local.ravel(), n * len(local)).reshape(lead + (-1,))
+
+    def element_matrices(self, densities, parts, trial: FunctionSpace,
+                         trial_part: int) -> np.ndarray:
+        """The matrix counterpart of :meth:`integrate`: entry (a, b) of a
+        triangle's matrix sums ``densities[k] * (part parts[k] of test
+        function a) * (part trial_part of function b of trial)`` over k and
+        the points, weighted.  Shape (types, triangles of that type, a*b):
+        one dense product per type with its table of weighted basis products."""
+        d = self.by_type(np.stack(densities, axis=1).reshape(self.shape[1], -1))
+        table = np.einsum("q,ktqa,tqb->tkqab", self.weights, self.basis[parts],
+                          trial.basis[trial_part])
+        return d @ table.reshape(len(table), d.shape[-1], -1)
+
+    def matrix_entries(self, blocks: np.ndarray, trial: FunctionSpace,
+                       row_offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of :meth:`element_matrices`' ``blocks``
+        in the global numbering: rows are this space's scalar DOFs plus
+        ``row_offset``, columns the scalar DOFs of ``trial``.  Repeated
+        (row, col) pairs are to be summed, as a COO matrix does."""
+        shape = self.dofs.shape + trial.dofs.shape[-1:]  # (types, triangles, a, b)
+        return ((row_offset + np.broadcast_to(self.dofs[..., None], shape)).ravel(),
+                np.broadcast_to(trial.dofs[..., None, :], shape).ravel(), blocks.ravel())
+
+    def squared_norms(self, coeffs: np.ndarray) -> tuple[float, float]:
+        """(squared L2 norm, squared H1 seminorm) of one function."""
+        sq = self.fields(coeffs) ** 2
+        return (float(np.sum(self.weights * sq[..., 0, :, :])),
+                float(np.sum(self.weights * sq[..., 1:, :, :])))
 
 
 @dataclass(eq=False)
@@ -167,106 +263,6 @@ def tabulate(space: FunctionSpace, rule: QuadRule) -> tuple[np.ndarray, np.ndarr
     return basis, rule.weights * det[0]
 
 
-class Evaluator:
-    """Field evaluation at the quadrature points of one space under one
-    rule, and assembly against its test functions.
-
-    ``basis`` and ``weights`` are :func:`tabulate`'s tables, one per
-    triangle type: the triangles of one type are translates of each other,
-    so they share it.  ``dofs[t, j]`` holds the scalar DOFs of the j-th
-    triangle of type ``t``.  :meth:`fields` gathers the coefficients through
-    ``dofs`` and takes one dense product per basis part; :meth:`integrate`,
-    its transpose, multiplies back by the weighted table and adds each
-    triangle's entries into its DOFs; :meth:`element_matrices` and
-    :meth:`matrix_entries` do the same for matrices.  Assembly, diagnostics
-    and error norms all go through this one tabulation, so every integral
-    uses the same rule.
-    """
-
-    def __init__(self, space: FunctionSpace, rule: QuadRule):
-        self.basis, self.weights = tabulate(space, rule)
-        self._weighted = self.weights[:, None] * self.basis  # integrate's table
-        self.dofs = np.ascontiguousarray(self.by_type(space.element_dof_table))
-        self.shape = (3, space.mesh.num_triangles, len(self.weights))
-        self.num_components = space.num_components
-        self.scalar_dof_count = space.scalar_dof_count
-
-    @staticmethod
-    def by_type(per_triangle: np.ndarray, axis: int = 0) -> np.ndarray:
-        """A view of ``per_triangle`` with the axes (type, triangle of that
-        type) in place of its triangle axis ``axis``: triangle e is the
-        (e // TRIANGLE_TYPES)-th of type e % TRIANGLE_TYPES."""
-        shape = per_triangle.shape
-        split = shape[:axis] + (-1, TRIANGLE_TYPES) + shape[axis + 1:]
-        return per_triangle.reshape(split).swapaxes(axis, axis + 1)
-
-    def fields(self, coeffs: np.ndarray) -> np.ndarray:
-        """Values and derivatives at the points, shape ``lead + (3, ne, nq)``
-        for coefficients of shape ``lead + (dof_count,)``; a vector space
-        adds a component axis before the ``3``."""
-        coeffs = np.asarray(coeffs)
-        lead = coeffs.shape[:-1] + ((2,) if self.num_components == 2 else ())
-        rows = coeffs.reshape(-1, self.scalar_dof_count)
-        local = rows[:, self.dofs]  # (functions, types, triangles, nb)
-        out = np.empty((len(rows),) + self.shape)
-        out_by_type = self.by_type(out, axis=2)
-        for k, table in enumerate(self.basis):
-            np.matmul(local, table.swapaxes(1, 2), out=out_by_type[:, k])
-        return out.reshape(lead + self.shape)
-
-    def integrate(self, densities: np.ndarray) -> np.ndarray:
-        """The transpose of :meth:`fields`: entry i is the weighted sum of
-        ``densities[0]*N_i + densities[1]*dN_i/dx + densities[2]*dN_i/dy``
-        over all points, for every leading index."""
-        d = np.asarray(densities)
-        lead = d.shape[:-3 - (self.num_components == 2)]
-        d = self.by_type(d.reshape((-1,) + self.shape), axis=2)
-        local = d[:, 0] @ self._weighted[0]
-        local += d[:, 1] @ self._weighted[1]
-        local += d[:, 2] @ self._weighted[2]
-        # one bincount for all rows: row r's DOFs are shifted by r * n
-        n = self.scalar_dof_count
-        dofs = self.dofs.ravel() + n * np.arange(len(local))[:, None]
-        return np.bincount(dofs.ravel(), local.ravel(), n * len(local)).reshape(lead + (-1,))
-
-    def element_matrices(self, densities, parts, trial: Evaluator,
-                         trial_part: int) -> np.ndarray:
-        """The matrix counterpart of :meth:`integrate`: entry (a, b) of a
-        triangle's matrix sums ``densities[k] * (part parts[k] of test
-        function a) * (part trial_part of function b of trial)`` over k and
-        the points, weighted.  Shape (types, triangles of that type, a*b):
-        one dense product per type with its table of weighted basis products."""
-        d = self.by_type(np.stack(densities, axis=1).reshape(self.shape[1], -1))
-        table = np.einsum("q,ktqa,tqb->tkqab", self.weights, self.basis[parts],
-                          trial.basis[trial_part])
-        return d @ table.reshape(len(table), d.shape[-1], -1)
-
-    def matrix_entries(self, blocks: np.ndarray, trial: Evaluator,
-                       row_offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, values)`` of :meth:`element_matrices`' ``blocks``
-        in the global numbering: rows are this space's scalar DOFs plus
-        ``row_offset``, columns the scalar DOFs of ``trial``.  Repeated
-        (row, col) pairs are to be summed, as a COO matrix does."""
-        shape = self.dofs.shape + trial.dofs.shape[-1:]  # (types, triangles, a, b)
-        return ((row_offset + np.broadcast_to(self.dofs[..., None], shape)).ravel(),
-                np.broadcast_to(trial.dofs[..., None, :], shape).ravel(), blocks.ravel())
-
-    def squared_norms(self, coeffs: np.ndarray) -> tuple[float, float]:
-        """(squared L2 norm, squared H1 seminorm) of one function."""
-        sq = self.fields(coeffs) ** 2
-        return (float(np.sum(self.weights * sq[..., 0, :, :])),
-                float(np.sum(self.weights * sq[..., 1:, :, :])))
-
-
-def evaluator(space: FunctionSpace) -> Evaluator:
-    """The space's evaluator for the degree-QUAD_DEGREE rule, built on first
-    use and shared by every later caller."""
-    ev = space.evaluators.get(QUAD_DEGREE)
-    if ev is None:
-        ev = space.evaluators[QUAD_DEGREE] = Evaluator(space, quad_rule(QUAD_DEGREE))
-    return ev
-
-
 def interpolate(space: FunctionSpace, f) -> FeFunction:
     """Nodal interpolation of a periodic closure.
 
@@ -320,10 +316,9 @@ def c_skw(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
             raise ValueError("c_skw requires all arguments from the same space")
     if not u.space.is_vector:
         raise ValueError("c_skw is defined for vector functions")
-    ev = evaluator(u.space)
-    uf, vf, wf = (ev.fields(g.coefficients) for g in (u, v, w))
+    uf, vf, wf = (u.space.fields(g.coefficients) for g in (u, v, w))
     adv_v = np.einsum("leq,cleq->ceq", uf[:, 0], vf[:, 1:])
     adv_w = np.einsum("leq,cleq->ceq", uf[:, 0], wf[:, 1:])
-    first = np.sum(ev.weights * np.sum(adv_v * wf[:, 0], axis=0))
-    second = np.sum(ev.weights * np.sum(adv_w * vf[:, 0], axis=0))
+    first = np.sum(u.space.weights * np.sum(adv_v * wf[:, 0], axis=0))
+    second = np.sum(u.space.weights * np.sum(adv_w * vf[:, 0], axis=0))
     return float(0.5 * (first - second))

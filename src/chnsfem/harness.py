@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, initial_record, record
-from .fespace import FeFunction, evaluator, prolong
+from .fespace import FeFunction, prolong
 from .la import NewtonSettings, SolverError
 from .mesh import PeriodicTriMesh, build_uniform
 from .physics import MaterialModel, default_model
@@ -189,9 +189,8 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
     if len(fine.states) != 2 * (len(coarse.states) - 1) + 1:
         raise ValueError("fine run must refine the coarse run once in time")
     tau_c = coarse.tau
-    # the fine run's evaluators: the norms use the rule of its assembly
-    ev1 = evaluator(fine.states[0].phi.space)
-    ev2 = evaluator(fine.states[0].u.space)
+    # the fine run's spaces: the norms use the rule of its assembly
+    p1, p2 = fine.states[0].phi.space, fine.states[0].u.space
     n_intervals = len(coarse.states) - 1
 
     linf_h1_phi = 0.0
@@ -201,13 +200,15 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
     l2_h1_u = 0.0
     for n, cs in enumerate(coarse.states):
         fs = fine.states[2 * n]
-        if abs(cs.time - fs.time) > 1e-12:
+        # each level adds up its steps, so matching nodes differ by roundoff
+        # (up to 1.4e-12 at T = 2 over 16,000 and 32,000 steps)
+        if abs(cs.time - fs.time) > 1e-3 * fine.tau:
             raise ValueError("time grids do not align")
-        l2, h1 = ev1.squared_norms(_diff(cs.phi, fs.phi))
+        l2, h1 = p1.squared_norms(_diff(cs.phi, fs.phi))
         linf_h1_phi = max(linf_h1_phi, l2 + h1)
-        l2t, h1t = ev1.squared_norms(_diff(cs.theta, fs.theta))
+        l2t, h1t = p1.squared_norms(_diff(cs.theta, fs.theta))
         linf_l2_theta = max(linf_l2_theta, l2t)
-        l2u, h1u = ev2.squared_norms(_diff(cs.u, fs.u))
+        l2u, h1u = p2.squared_norms(_diff(cs.u, fs.u))
         linf_l2_u = max(linf_l2_u, l2u)
         if n < n_intervals:  # left-endpoint rule in time
             l2_h1_theta += tau_c * (l2t + h1t)
@@ -219,7 +220,7 @@ def inter_level_error(coarse: RunResult, fine: RunResult) -> ErrorRow:
         cmu = prolong(coarse.states[n + 1].mu, fine.states[0].mu.space).coefficients
         for half in (1, 2):
             d = cmu - fine.states[2 * n + half].mu.coefficients
-            l2, h1 = ev1.squared_norms(d)
+            l2, h1 = p1.squared_norms(d)
             l2_h1_mu += tau_c * 0.5 * (l2 + h1)
 
     return ErrorRow(level=coarse.config.level,

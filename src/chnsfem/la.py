@@ -164,7 +164,8 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
     """
     x = np.asarray(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
-    rnorm = float(np.linalg.norm(r))
+    # scaled nrm2, as in Factor.solve: a norm is finite up to 1.8e308
+    rnorm = float(norm(r, check_finite=False))
     it = factorizations = 0
     chord = factor is not None
     while rnorm > settings.tol and it < settings.max_iter:
@@ -172,7 +173,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
             try:
                 trial = x + factor.solve(-r)
                 r_trial = np.asarray(residual(trial), dtype=float)
-                rnorm_trial = float(np.linalg.norm(r_trial))
+                rnorm_trial = float(norm(r_trial, check_finite=False))
             except TrialRejected:
                 rnorm_trial = np.inf
             if not (CHORD_CONTRACTION * rnorm_trial <= rnorm and rnorm_trial < rnorm):
@@ -195,7 +196,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                         raise
                     scale *= 0.5
                     continue
-                rnorm_trial = float(np.linalg.norm(r_trial))
+                rnorm_trial = float(norm(r_trial, check_finite=False))
                 if rnorm_trial <= (1.0 - ARMIJO * scale) * rnorm:
                     accepted = (trial, r_trial, rnorm_trial)
                     chord = rnorm_trial * (rnorm_trial / rnorm) ** 2 <= settings.tol

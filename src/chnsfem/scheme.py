@@ -28,16 +28,7 @@ from itertools import groupby
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (
-    P1,
-    P2_VECTOR,
-    Evaluator,
-    FeFunction,
-    FunctionSpace,
-    build_space,
-    evaluator,
-    interpolate,
-)
+from .fespace import P1, P2_VECTOR, FeFunction, FunctionSpace, build_space, interpolate
 from .la import NewtonSettings, SolverError, TrialRejected, lu_solve, newton
 from .mesh import PeriodicTriMesh
 from .physics import MaterialModel, SplitValidityWarning
@@ -225,14 +216,15 @@ def _kernels(new: dict, old: dict, lam, model: MaterialModel, cfg: StepperConfig
     return out
 
 
-def quadrature_fields(ev1: Evaluator, ev2: Evaluator, scalar: np.ndarray,
-                      velocity: np.ndarray) -> dict:
+def quadrature_fields(scalar_space: FunctionSpace, velocity_space: FunctionSpace,
+                      scalar: np.ndarray, velocity: np.ndarray) -> dict:
     """The kernels' fields of one level at the quadrature points (the field
     keys of ``_CHANNELS``), from the stacked coefficients of phi, mu, theta
     and pi and the component-blocked velocity coefficients."""
-    s = ev1.fields(scalar)
+    s = scalar_space.fields(scalar)
+    v = velocity_space.fields(velocity)
     out: dict = {"pi": s[3, 0]}
-    for name, f in zip(("p", "m", "t", "u1", "u2"), (*s[:3], *ev2.fields(velocity))):
+    for name, f in zip(("p", "m", "t", "u1", "u2"), (*s[:3], *v)):
         out[name], out[name + "x"], out[name + "y"] = f
     return out
 
@@ -277,8 +269,6 @@ class Stepper:
         self.spaces = spaces
         self.model = model
         self.cfg = cfg
-        self.ev1 = evaluator(spaces.scalar)
-        self.ev2 = evaluator(spaces.velocity)
         self.n1 = spaces.scalar.dof_count
         self.n2 = spaces.velocity.scalar_dof_count
 
@@ -291,14 +281,14 @@ class Stepper:
         self._scalar_rows = np.r_[0:3 * n1,
                                   self.off["pi"]:self.lam_index].reshape(4, n1)
 
-        # field -> evaluator of its space (basis and element DOFs by type);
-        # each equation tests the field in its own slot of x
-        self._ev = dict(zip(self.off, (self.ev1,) * 3 + (self.ev2,) * 2 + (self.ev1,)))
+        # field -> its space; each equation tests the field in its own slot of x
+        self._space_of = dict(zip(self.off, (spaces.scalar,) * 3
+                                  + (spaces.velocity,) * 2 + (spaces.scalar,)))
         # integrals of the scalar test functions, used by the multiplier
         # column and the pressure-mean row
-        unit = np.zeros(self.ev1.shape)
+        unit = np.zeros(spaces.scalar.shape)
         unit[0] = 1.0
-        self.p1_load = self.ev1.integrate(unit)
+        self.p1_load = spaces.scalar.integrate(unit)
         self._factor = None
         self._current = None  # the state whose vector ends the history
         self._history = None  # the start vector, then up to four solved levels
@@ -323,8 +313,9 @@ class Stepper:
         reused only for that same array object."""
         if self._memo is None or self._memo[0] is not x:
             u1 = self.off["u1"]
-            self._memo = (x, quadrature_fields(self.ev1, self.ev2, x[self._scalar_rows],
-                                               x[u1:u1 + 2 * self.n2]))
+            self._memo = (x, quadrature_fields(
+                self.spaces.scalar, self.spaces.velocity, x[self._scalar_rows],
+                x[u1:u1 + 2 * self.n2]))
         return self._memo[1]
 
     def fields_from_state(self, state: State) -> dict:
@@ -353,12 +344,12 @@ class Stepper:
         self._check_positivity(new["t"])
         # densities (value, x, y parts) against the scalar and vector bases,
         # allocated before the kernels' temporaries; pi's x and y parts stay 0
-        scalar = np.zeros((4,) + self.ev1.shape)
-        vector = np.empty((2,) + self.ev2.shape)
+        scalar = np.zeros((4,) + self.spaces.scalar.shape)
+        vector = np.empty((2,) + self.spaces.velocity.shape)
         _kernels(new, old_fields, float(x[self.lam_index]), self.model, self.cfg,
                  dict(zip(self.off, (*scalar[:3], *vector, scalar[3]))))
-        r1 = self.ev1.integrate(scalar)
-        r2 = self.ev2.integrate(vector)
+        r1 = self.spaces.scalar.integrate(scalar)
+        r2 = self.spaces.velocity.integrate(vector)
         pi = x[self.off["pi"]:self.lam_index]
         return np.concatenate([r1[:3].ravel(), r2, r1[3], [self.p1_load @ pi]])
 
@@ -385,10 +376,10 @@ class Stepper:
                        old_fields: dict, lam: float) -> sp.csc_matrix:
         """The Jacobian's columns of one trial field, from its channels: the
         derivative densities of each test field's equation give its element
-        matrices (:meth:`Evaluator.element_matrices`), summed over the
+        matrices (:meth:`FunctionSpace.element_matrices`), summed over the
         channels.  One COO-to-CSC conversion sums them; the pi columns also
         hold the pressure-mean row."""
-        trial_ev = self._ev[trial_field]
+        trial = self._space_of[trial_field]
         blocks = {}  # test field -> (types, elements, a*b)
         for key, _, part in channels:
             new = {**plain, key: plain[key] + 1j * STEP}
@@ -400,21 +391,21 @@ class Stepper:
                 if not ks:
                     continue
                 # d(density k)/d(channel) against test part k, trial part `part`
-                block = self._ev[test_field].element_matrices(
-                    [densities[k].imag / STEP for k in ks], ks, trial_ev, part)
+                block = self._space_of[test_field].element_matrices(
+                    [densities[k].imag / STEP for k in ks], ks, trial, part)
                 if test_field in blocks:
                     block += blocks[test_field]
                 blocks[test_field] = block
             del kern, densities  # before the next channel's kernels allocate
 
-        entries = [self._ev[test_field].matrix_entries(block, trial_ev, self.off[test_field])
-                   for test_field, block in blocks.items()]
+        entries = [self._space_of[field].matrix_entries(block, trial, self.off[field])
+                   for field, block in blocks.items()]
         if trial_field == "pi":
             entries.append((np.full(self.n1, self.lam_index, dtype=np.intc),
                             np.arange(self.n1, dtype=np.intc), self.p1_load))
         rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
         coo = sp.coo_matrix((vals, (rows, cols)),
-                            shape=(self.size, trial_ev.scalar_dof_count))
+                            shape=(self.size, trial.scalar_dof_count))
         del blocks, block, entries, rows, cols, vals  # before the conversion allocates
         return coo.tocsc()
 
@@ -500,14 +491,14 @@ def initial_state(spaces: SpaceSet, model: MaterialModel, phi0, theta0, u0) -> S
             f"(min {theta.coefficients.min():.3e})")
     u = interpolate(spaces.velocity, u0)
 
-    ev = evaluator(spaces.scalar)
-    n1 = spaces.scalar.dof_count
-    rows, cols, vals = ev.matrix_entries(
-        ev.element_matrices([np.ones(ev.shape[1:])], [0], ev, 0), ev, 0)
+    p1 = spaces.scalar
+    n1 = p1.dof_count
+    rows, cols, vals = p1.matrix_entries(
+        p1.element_matrices([np.ones(p1.shape[1:])], [0], p1, 0), p1, 0)
     mass = sp.coo_matrix((vals, (rows, cols)), shape=(n1, n1)).tocsc()
 
-    p, t = ev.fields(np.stack([phi.coefficients, theta.coefficients]))
-    b = ev.integrate(np.stack([model.dphi_psi(p[0], t[0]),
+    p, t = p1.fields(np.stack([phi.coefficients, theta.coefficients]))
+    b = p1.integrate(np.stack([model.dphi_psi(p[0], t[0]),
                                model.gamma * p[1], model.gamma * p[2]]))
 
     mu = FeFunction(spaces.scalar, lu_solve(mass, b))

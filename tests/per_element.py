@@ -2,9 +2,9 @@
 of any degree.
 
 Every triangle gets its own table, mapped from the reference element by the
-affine map of its own corner coordinates ``mesh.tri_coords``.  The
-evaluator keeps one table per triangle type instead, so the tests check its
-tables, fields, integrals and Jacobian against this one.
+affine map of its own corner coordinates ``mesh.tri_coords``.  A
+``FunctionSpace`` keeps one table per triangle type instead, so the tests
+check its tables, fields, integrals and Jacobian against this one.
 
 The solver ships one quadrature rule, of degree 6;
 :func:`conical_rule` serves the tests that need a higher degree.

@@ -10,7 +10,7 @@ from chnsfem.diagnostics import (
     record,
     state_functionals,
 )
-from chnsfem.fespace import Evaluator, evaluator
+from chnsfem.fespace import FunctionSpace
 from chnsfem.mesh import build_uniform
 from chnsfem.physics import default_model
 from chnsfem.scheme import Stepper, StepperConfig, build_spaces, initial_state
@@ -72,21 +72,20 @@ def test_quadratic_form_terms_individually_nonnegative(short_run, model):
     # weighted viscous piece are separately nonnegative
     cfg, states, _, _ = short_run
     new, old = states[1], states[0]
-    ev1 = evaluator(new.phi.space)
-    ev2 = evaluator(new.u.space)
-    w = ev1.weights
-    gm = ev1.fields(new.mu.coefficients)[1:]
-    tn, *gt = ev1.fields(new.theta.coefficients)
+    p1, p2 = new.phi.space, new.u.space
+    w = p1.weights
+    gm = p1.fields(new.mu.coefficients)[1:]
+    tn, *gt = p1.fields(new.theta.coefficients)
     term_mu = np.einsum("q,seq,st,teq->", w, gm, model.L11, gm)
     term_theta = np.einsum("q,seq,st,teq->", w, gt, model.L22, gt)
     assert term_mu >= 0.0
     assert term_theta >= 0.0
-    gun = ev2.fields(new.u.coefficients)[:, 1:]
-    guo = ev2.fields(old.u.coefficients)[:, 1:]
+    gun = p2.fields(new.u.coefficients)[:, 1:]
+    guo = p2.fields(old.u.coefficients)[:, 1:]
     sym = 0.5 * (gun + guo)
     sym = 0.5 * (sym + np.swapaxes(sym, 0, 1))
-    ps = ev1.fields(old.phi.coefficients)[0]
-    ts = ev1.fields(old.theta.coefficients)[0]
+    ps = p1.fields(old.phi.coefficients)[0]
+    ts = p1.fields(old.theta.coefficients)[0]
     viscous = np.sum(w * model.eta(ps, ts) * np.sum(sym**2, (0, 1)) * tn)
     total = physical_dissipation(new, old, model, cfg)
     assert viscous >= 0.0
@@ -98,9 +97,9 @@ def test_first_step_dissipation_decomposition(short_run, model):
     # quadrature of the compositions
     cfg, states, _, _ = short_run
     old, new = states[0], states[1]
-    ev1 = evaluator(new.phi.space)
-    w = ev1.weights
-    pn, po, tn, to, mn = ev1.fields(np.stack([
+    p1 = new.phi.space
+    w = p1.weights
+    pn, po, tn, to, mn = p1.fields(np.stack([
         new.phi.coefficients, old.phi.coefficients, new.theta.coefficients,
         old.theta.coefficients, new.mu.coefficients]))[:, 0]
     de_theta = np.sum(w * (model.e(pn, tn) - model.e(po, to)) * tn)
@@ -135,10 +134,10 @@ def test_gradient_increment_lower_bound(short_run, model):
     # gamma/2 * ||grad(phi_new - phi_old)||^2, the explicitly computable
     # first summand of the numerical dissipation, bounds the recorded d_num
     cfg, states, _, fields = short_run
-    ev1 = evaluator(states[0].phi.space)
+    p1 = states[0].phi.space
     for k in range(1, 11):
         dphi = states[k].phi.coefficients - states[k - 1].phi.coefficients
-        lower = 0.5 * model.gamma * ev1.squared_norms(dphi)[1]
+        lower = 0.5 * model.gamma * p1.squared_norms(dphi)[1]
         d_num = record(states[k], fields[k], fields[k - 1], model, cfg,
                        step_index=k).d_num
         assert lower <= d_num + 1e-10
@@ -181,8 +180,8 @@ def test_rows_evaluate_no_fields(short_run, model, monkeypatch):
     # that evaluate the states themselves to the last bit
     cfg, states, _, fields = short_run
     calls = []
-    fields_of = Evaluator.fields
-    monkeypatch.setattr(Evaluator, "fields",
+    fields_of = FunctionSpace.fields
+    monkeypatch.setattr(FunctionSpace, "fields",
                         lambda self, c: calls.append(1) or fields_of(self, c))
     first = initial_record(states[0], fields[0], model)
     rec = record(states[2], fields[2], fields[1], model, cfg, step_index=2)

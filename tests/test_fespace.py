@@ -8,12 +8,10 @@ from chnsfem.fespace import (
     P1,
     P2_VECTOR,
     QUAD_DEGREE,
-    Evaluator,
     FeFunction,
     build_space,
     c_skw,
     evaluate,
-    evaluator,
     interpolate,
     prolong,
     tabulate,
@@ -32,7 +30,7 @@ def u0(x, y):
 
 def norms(f):
     """(L2 norm, H1 seminorm) of f by the degree-6 rule."""
-    return np.sqrt(evaluator(f.space).squared_norms(f.coefficients))
+    return np.sqrt(f.space.squared_norms(f.coefficients))
 
 
 def test_dof_counts():
@@ -132,15 +130,14 @@ def test_interpolated_gradient_converges_at_second_order():
         space = build_space(build_uniform(n), P2_VECTOR)
         f = interpolate(space, lambda x, y: (np.sin(2 * np.pi * x), 0 * x))
         rule = quad_rule(QUAD_DEGREE)
-        ev = Evaluator(space, rule)
-        fields = ev.fields(f.coefficients)  # (component, part, ne, nq)
+        fields = space.fields(f.coefficients)  # (component, part, ne, nq)
         _, gx, gy = fields[0]
         # physical coordinates of the quadrature points
         corners = space.mesh.tri_coords
         pts = np.einsum("qb,ebs->eqs", rule.points, corners)
         exact = 2 * np.pi * np.cos(2 * np.pi * pts[..., 0])
-        err2 = (np.sum(ev.weights * ((gx - exact) ** 2 + gy ** 2))
-                + np.sum(ev.weights * fields[1, 1:] ** 2))
+        err2 = (np.sum(space.weights * ((gx - exact) ** 2 + gy ** 2))
+                + np.sum(space.weights * fields[1, 1:] ** 2))
         errs.append(np.sqrt(err2))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 1.8)
@@ -153,10 +150,9 @@ def test_initial_velocity_divergence_decays_quadratically():
     for n in (4, 8, 16):
         space = build_space(build_uniform(n), P2_VECTOR)
         f = interpolate(space, u0)
-        ev = evaluator(space)
-        u = ev.fields(f.coefficients)
+        u = space.fields(f.coefficients)
         div = u[0, 1] + u[1, 2]
-        errs.append(np.sqrt(np.sum(ev.weights * div**2)))
+        errs.append(np.sqrt(np.sum(space.weights * div**2)))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 1.8)
 
@@ -226,8 +222,7 @@ def test_meanfree_family_mean():
     # multiplier row, not by the space
     space = build_space(build_uniform(4), P1)
     f = interpolate(space, lambda x, y: np.sin(2 * np.pi * x))
-    ev = evaluator(space)
-    assert abs(np.sum(ev.weights * ev.fields(f.coefficients)[0])) <= 1e-12
+    assert abs(np.sum(space.weights * space.fields(f.coefficients)[0])) <= 1e-12
 
 
 def test_c_skw_vanishes_on_repeated_argument():
@@ -281,13 +276,12 @@ def test_evaluator_operator_matches_tabulation(family):
     rng = np.random.default_rng(11)
     for n in (3, 4):
         space = build_space(build_uniform(n), family)
-        ev = evaluator(space)
         basis, weights = per_element_tabulation(space, quad_rule(QUAD_DEGREE))
         dofs = space.element_dof_table
         ns = space.scalar_dof_count
         shape = weights.shape
         coeffs = rng.standard_normal(space.dof_count)
-        fields = ev.fields(coeffs).reshape(-1, 3, *shape)
+        fields = space.fields(coeffs).reshape(-1, 3, *shape)
         for c in range(space.num_components):
             local = coeffs[c * ns:(c + 1) * ns][dofs]
             expected = np.einsum("keqb,eb->keq", basis, local)
@@ -296,7 +290,7 @@ def test_evaluator_operator_matches_tabulation(family):
         g = rng.standard_normal((3,) + shape)
         scatter = np.zeros(ns)
         np.add.at(scatter, dofs, np.einsum("keq,keqb->eb", g, basis))
-        integrated = ev.integrate(np.stack([g / weights] * space.num_components))
+        integrated = space.integrate(np.stack([g / weights] * space.num_components))
         assert np.abs(integrated - np.tile(scatter, space.num_components)).max() <= 1e-13
 
 
@@ -305,59 +299,58 @@ def test_integrating_stacked_rows_equals_integrating_each_row(family):
     # one bincount over all rows adds each row's entries in the order of
     # one bincount per row, so the results agree bitwise
     space = build_space(build_uniform(8), family)
-    ev = evaluator(space)
     lead = (4,) + ((2,) if family == P2_VECTOR else ())
-    densities = np.random.default_rng(3).standard_normal(lead + ev.shape)
-    stacked = ev.integrate(densities)
+    densities = np.random.default_rng(3).standard_normal(lead + space.shape)
+    stacked = space.integrate(densities)
     assert stacked.shape == (4, space.dof_count)
     for row, d in zip(stacked, densities):
-        assert np.array_equal(row, ev.integrate(d))
+        assert np.array_equal(row, space.integrate(d))
 
 
 def test_evaluator_is_built_once_per_space(monkeypatch):
-    space = build_space(build_uniform(4), P1)
+    # build_space tabulates the space's one rule once; evaluating fields and
+    # integrating densities reuse that table
     tabulated = []
     monkeypatch.setattr(fespace, "tabulate",
                         lambda *args: tabulated.append(args) or tabulate(*args))
-    ev = evaluator(space)
-    assert evaluator(space) is ev
+    space = build_space(build_uniform(4), P1)
+    assert len(tabulated) == 1 and tabulated[0][0] is space
+    assert space.weights.shape == (len(quad_rule(QUAD_DEGREE).weights),)
+    space.integrate(space.fields(np.ones(space.dof_count)))
     assert len(tabulated) == 1
-    assert evaluator(build_space(space.mesh, P1)) is not ev
+    build_space(space.mesh, P1)
     assert len(tabulated) == 2
-    assert ev.weights.shape == (len(quad_rule(QUAD_DEGREE).weights),)
 
 
 @pytest.mark.parametrize("family", [P1, P2_VECTOR])
 @pytest.mark.parametrize("n", [1, 3, 4, 16])
 def test_every_element_has_its_types_table(family, n):
     space = build_space(build_uniform(n), family)
-    ev = evaluator(space)
     basis, weights = per_element_tabulation(space, quad_rule(QUAD_DEGREE))
     ne, nq = weights.shape
     types = np.arange(ne) % TRIANGLE_TYPES
-    assert ev.basis.shape == (3, TRIANGLE_TYPES, nq, basis.shape[-1])
-    assert ev.weights.shape == (nq,)
-    assert ev.shape == (3, ne, nq)
+    assert space.basis.shape == (3, TRIANGLE_TYPES, nq, basis.shape[-1])
+    assert space.weights.shape == (nq,)
+    assert space.shape == (3, ne, nq)
     # the j-th triangle of type t is triangle j * TRIANGLE_TYPES + t
-    assert np.array_equal(ev.dofs[types, np.arange(ne) // TRIANGLE_TYPES],
+    assert np.array_equal(space.dofs[types, np.arange(ne) // TRIANGLE_TYPES],
                           space.element_dof_table)
     if n & (n - 1) == 0:  # grid coordinates i*h are exact
-        assert np.array_equal(basis, ev.basis[:, types])
-        assert np.array_equal(weights, np.broadcast_to(ev.weights, weights.shape))
+        assert np.array_equal(basis, space.basis[:, types])
+        assert np.array_equal(weights, np.broadcast_to(space.weights, weights.shape))
     else:  # to a few ulps, the rounding of i*h
         eps = np.finfo(float).eps
-        assert np.abs(basis - ev.basis[:, types]).max() <= 4 * eps * np.abs(basis).max()
-        assert np.abs(weights - ev.weights).max() <= 4 * eps * weights.max()
+        assert np.abs(basis - space.basis[:, types]).max() <= 4 * eps * np.abs(basis).max()
+        assert np.abs(weights - space.weights).max() <= 4 * eps * weights.max()
 
 
 def test_evaluator_holds_no_array_beyond_one_entry_per_local_dof():
-    # the tables are per triangle type: nothing the evaluator keeps grows
+    # the tables are per triangle type: nothing the space keeps grows
     # like triangles x points, sparse or dense
     for family in (P1, P2_VECTOR):
         space = build_space(build_uniform(16), family)
-        ev = evaluator(space)
         limit = space.element_dof_table.size
-        for name, value in vars(ev).items():
+        for name, value in vars(space).items():
             if sp.issparse(value):
                 value = value.tocsr()
                 sizes = [value.data.size, value.indices.size, value.indptr.size]
@@ -366,8 +359,8 @@ def test_evaluator_holds_no_array_beyond_one_entry_per_local_dof():
             assert max(sizes) <= limit, name
 
 
-def _assembled(ev, blocks, n):
-    rows, cols, vals = ev.matrix_entries(blocks, ev, 0)
+def _assembled(space, blocks, n):
+    rows, cols, vals = space.matrix_entries(blocks, space, 0)
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -376,12 +369,11 @@ def test_element_matrices_match_the_per_element_assembly(family):
     # the mass and stiffness matrices of the scalar basis from the type
     # tables, against every triangle's own table (tests/per_element.py)
     space = build_space(build_uniform(8), family)
-    ev = evaluator(space)
     n = space.scalar_dof_count
-    ones = np.ones(ev.shape[1:])
-    mass = _assembled(ev, ev.element_matrices([ones], [0], ev, 0), n)
-    stiffness = _assembled(ev, ev.element_matrices([ones], [1], ev, 1)
-                           + ev.element_matrices([ones], [2], ev, 2), n)
+    ones = np.ones(space.shape[1:])
+    mass = _assembled(space, space.element_matrices([ones], [0], space, 0), n)
+    stiffness = _assembled(space, space.element_matrices([ones], [1], space, 1)
+                           + space.element_matrices([ones], [2], space, 2), n)
 
     basis, weights = per_element_tabulation(space, quad_rule(QUAD_DEGREE))
     dofs = space.element_dof_table
@@ -396,10 +388,9 @@ def test_element_matrices_match_the_per_element_assembly(family):
 
 def test_p1_mass_times_ones_is_the_integral_of_each_basis_function():
     space = build_space(build_uniform(8), P1)
-    ev = evaluator(space)
-    ones = np.ones(ev.shape[1:])
-    mass = _assembled(ev, ev.element_matrices([ones], [0], ev, 0), space.dof_count)
-    unit = np.zeros(ev.shape)
+    ones = np.ones(space.shape[1:])
+    mass = _assembled(space, space.element_matrices([ones], [0], space, 0), space.dof_count)
+    unit = np.zeros(space.shape)
     unit[0] = 1.0
-    load = ev.integrate(unit)
+    load = space.integrate(unit)
     assert np.abs(mass @ np.ones(space.dof_count) - load).max() <= 1e-15 * load.max()

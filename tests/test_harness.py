@@ -142,6 +142,21 @@ def test_identical_trajectories_have_zero_error(short_run):
         assert getattr(row, name) <= 1e-26
 
 
+def _shifted(result: RunResult, shift: float) -> RunResult:
+    return dataclasses.replace(result, states=[
+        dataclasses.replace(s, time=s.time + shift) for s in result.states])
+
+
+def test_time_grids_align_up_to_the_roundoff_of_long_runs(short_run):
+    # each level adds up its steps: at T = 2, 16,000 and 32,000 of them put
+    # matching nodes up to 1.44e-12 apart; a quarter step apart is misaligned
+    _, result = short_run
+    fake = _fake_refined(result)
+    assert inter_level_error(result, _shifted(fake, 1.44e-12)).combined <= 1e-26
+    with pytest.raises(ValueError, match="time grids do not align"):
+        inter_level_error(result, _shifted(fake, 0.25 * fake.tau))
+
+
 def test_inter_level_error_validates_shapes(short_run):
     _, result = short_run
     with pytest.raises(ValueError):
@@ -208,15 +223,15 @@ def _count_tabulations(monkeypatch) -> list:
 
 
 def test_run_tabulates_each_space_at_most_once(monkeypatch):
-    # assembly, diagnostics and initial data share one evaluator per space
+    # assembly, diagnostics and initial data share each space's one table
     tabulated = _count_tabulations(monkeypatch)
     result = run(RunConfig(base=4, final_time=1e-3, tau0=2.5e-4))
     assert len(result.records) == 5
-    assert len(tabulated) == len(set(map(id, tabulated))) <= 3
+    assert len(tabulated) == len(set(map(id, tabulated))) == 2
 
 
 def test_run_evaluates_each_level_once(monkeypatch):
-    # one product with the scalar and one with the velocity evaluator per
+    # one product with the scalar and one with the velocity space per
     # Newton residual, plus the initial projection's one: the first
     # residual is at the initial level's own vector, and the Jacobian and
     # each new level reuse the fields of the residual at their vector
@@ -228,8 +243,8 @@ def test_run_evaluates_each_level_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(fespace.Evaluator, "fields",
-                        counting("fields", fespace.Evaluator.fields))
+    monkeypatch.setattr(fespace.FunctionSpace, "fields",
+                        counting("fields", fespace.FunctionSpace.fields))
     for name in ("residual_vector", "jacobian_matrix"):
         monkeypatch.setattr(Stepper, name, counting(name, getattr(Stepper, name)))
     result = run(RunConfig(base=4, final_time=5e-4, tau0=2.5e-4))
@@ -258,4 +273,4 @@ def test_run_builds_one_jacobian_and_one_factor(monkeypatch):
 def test_error_norms_reuse_the_fine_runs_evaluators(monkeypatch):
     tabulated = _count_tabulations(monkeypatch)
     convergence_study(RunConfig(base=4, final_time=5e-4, tau0=2.5e-4), 2)
-    assert len(tabulated) == len(set(map(id, tabulated))) <= 6
+    assert len(tabulated) == len(set(map(id, tabulated))) == 4

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -303,8 +304,9 @@ def test_stale_factor_increasing_the_residual_is_abandoned():
 
 
 def test_rejected_chord_trial_drops_its_factor_when_norms_overflow():
-    # both norms overflow to inf: inf <= inf would keep the factor, and
-    # inf < inf rejects the trial without spending an iteration
+    # the norms, near 1e201, overflow a plain sum of squares; had they gone
+    # to inf, inf <= inf would keep the factor and inf < inf reject the
+    # trial without spending an iteration
     calls = []
 
     def r(x):
@@ -317,10 +319,26 @@ def test_rejected_chord_trial_drops_its_factor_when_norms_overflow():
         return sp.diags(1e200 * (1.0 + 2.0 * (x - 1.0)), format="csc")
 
     stale = Factor(1e200 * sp.identity(2, format="csc"))
-    with np.errstate(over="ignore"):
-        res = newton(r, J, np.array([3.0, 3.0]), NewtonSettings(), factor=stale)
+    res = newton(r, J, np.array([3.0, 3.0]), NewtonSettings(), factor=stale)
     assert np.array_equal(res.x, [1.0, 1.0])
     assert res.factor is not stale and len(calls) < 20
+
+
+def test_newton_decides_on_norms_that_do_not_overflow():
+    # residual entries near 1e203 overflow a plain sum of squares, which
+    # would make every Armijo test inf <= inf and every chord test NaN
+    def r(x):
+        return 1e200 * ((x - 1.0) + (x - 1.0) ** 2)
+
+    def J(x):
+        return sp.diags(1e200 * (2.0 * x - 1.0), format="csc")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = newton(r, J, np.array([-30.0, -30.0]), NewtonSettings())
+    # the root at 0, where x - 1 rounds to -1 and the residual is exactly 0
+    assert res.residual_norm == 0.0
+    assert np.abs(res.x).max() <= 1e-16
 
 
 def test_plain_solve_chords_on_its_fresh_factor():

@@ -11,7 +11,7 @@ from per_element import conical_rule, per_element_tabulation
 from scipy.sparse.linalg import splu
 
 from chnsfem import fespace, harness, scheme
-from chnsfem.fespace import QUAD_DEGREE, FeFunction, evaluator
+from chnsfem.fespace import QUAD_DEGREE, FeFunction
 from chnsfem.la import (
     LU_RESIDUAL_BOUND,
     Factor,
@@ -57,8 +57,7 @@ def model():
 
 
 def mean(f):
-    ev = evaluator(f.space)
-    return float(np.sum(ev.weights * ev.fields(f.coefficients)[0]))
+    return float(np.sum(f.space.weights * f.space.fields(f.coefficients)[0]))
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +135,12 @@ def test_quadrature_saturation(setup8, model, monkeypatch):
     s6 = Stepper(spaces, model, StepperConfig(tau=1e-3))
     monkeypatch.setattr(fespace, "QUAD_DEGREE", 12)
     monkeypatch.setattr(fespace, "quad_rule", conical_rule)
-    s12 = Stepper(spaces, model, StepperConfig(tau=1e-3))
-    assert len(s12.ev1.weights) > len(s6.ev1.weights)
+    # the same mesh and coefficients, in spaces tabulated at degree 12
+    s12 = Stepper(build_spaces(mesh), model, StepperConfig(tau=1e-3))
+    state12, _ = s12.unpack(s6.pack(state), state.time)
+    assert len(s12.spaces.scalar.weights) > len(spaces.scalar.weights)
     r6 = s6.residual_vector(s6.fields_from_state(state), s6.pack(state))
-    r12 = s12.residual_vector(s12.fields_from_state(state), s12.pack(state))
+    r12 = s12.residual_vector(s12.fields_from_state(state12), s12.pack(state12))
     assert np.abs(r6 - r12).max() <= 1e-10
 
 
@@ -237,17 +238,17 @@ def test_residual_integrates_the_kernels_own_arrays(setup4, model, monkeypatch):
         written.append(_kernels(*args))
         return written[-1]
 
-    def integrate(ev, densities):
-        integrated.append((ev, densities))
-        return real_integrate(ev, densities)
+    def integrate(space, densities):
+        integrated.append((space, densities))
+        return real_integrate(space, densities)
 
-    real_integrate = fespace.Evaluator.integrate
+    real_integrate = fespace.FunctionSpace.integrate
     monkeypatch.setattr(scheme, "_kernels", kernels)
-    monkeypatch.setattr(fespace.Evaluator, "integrate", integrate)
+    monkeypatch.setattr(fespace.FunctionSpace, "integrate", integrate)
     stepper.residual_vector(old_fields, stepper.pack(state))
     (out,) = written
     for field, slots in out.items():
-        (densities,) = [d for ev, d in integrated if ev is stepper._ev[field]]
+        (densities,) = [d for space, d in integrated if space is stepper._space_of[field]]
         for k, d in enumerate(slots):
             assert np.shares_memory(d, densities), (field, k)
 
@@ -580,10 +581,10 @@ def test_memo_serves_only_the_last_vector_evaluated(setup4, model, monkeypatch):
     _, spaces, state = setup4
     stepper = Stepper(spaces, model, StepperConfig(tau=1e-3))
     calls = []
-    fields = fespace.Evaluator.fields
-    monkeypatch.setattr(fespace.Evaluator, "fields",
-                        lambda ev, coeffs: calls.append(ev) or fields(ev, coeffs))
-    # one product with each evaluator per evaluated vector
+    fields = fespace.FunctionSpace.fields
+    monkeypatch.setattr(fespace.FunctionSpace, "fields",
+                        lambda space, coeffs: calls.append(space) or fields(space, coeffs))
+    # one product with each space per evaluated vector
     x = stepper.pack(state)
     kept = stepper.fields_from_vector(x)
     assert stepper.fields_from_vector(x) is kept
