@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import norm
 
 from chnsfem.harness import benchmark_initial_data
 from chnsfem.la import (
@@ -304,23 +305,32 @@ def test_stale_factor_increasing_the_residual_is_abandoned():
 
 
 def test_rejected_chord_trial_drops_its_factor_when_norms_overflow():
-    # the norms, near 1e201, overflow a plain sum of squares; had they gone
-    # to inf, inf <= inf would keep the factor and inf < inf reject the
-    # trial without spending an iteration
+    # 16 finite entries near 1e308 whose Euclidean norm, past 1.8e308,
+    # overflows even a scaled nrm2: at the start and at the chord trial both
+    # norms are inf, where inf <= inf would keep the factor and inf < inf
+    # rejects the trial without spending an iteration
+    s = 1e307
     calls = []
+
+    def f(x):
+        return s * ((x - 1.0) + (x - 1.0) ** 2)
 
     def r(x):
         calls.append(x.copy())
         if len(calls) > 200:
             pytest.fail(f"Newton spins: 200 residuals, the last at {x}")
-        return 1e200 * ((x - 1.0) + (x - 1.0) ** 2)
+        return f(x)
 
     def J(x):
-        return sp.diags(1e200 * (1.0 + 2.0 * (x - 1.0)), format="csc")
+        return sp.diags(s * (1.0 + 2.0 * (x - 1.0)), format="csc")
 
-    stale = Factor(1e200 * sp.identity(2, format="csc"))
-    res = newton(r, J, np.array([3.0, 3.0]), NewtonSettings(), factor=stale)
-    assert np.array_equal(res.x, [1.0, 1.0])
+    x0 = np.full(16, 3.0)
+    stale = Factor(s * sp.identity(16, format="csc"))
+    # the chord trial from 3 with slope s lands at -3
+    assert np.isinf(norm(f(x0), check_finite=False))
+    assert np.isinf(norm(f(np.full(16, -3.0)), check_finite=False))
+    res = newton(r, J, x0, NewtonSettings(), factor=stale)
+    assert np.array_equal(res.x, np.ones(16))
     assert res.factor is not stale and len(calls) < 20
 
 
