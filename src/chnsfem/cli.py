@@ -283,7 +283,12 @@ def cmd_run(cfg: RunConfig, out: Output) -> int:
     outdir = _output_directory(out)
     if outdir is None:
         return 2
-    result = run(cfg)
+    try:
+        result = run(cfg)
+    except SolverError as exc:  # keep the rows of the steps that finished
+        if exc.records:
+            write_diagnostics_csv(outdir / "diagnostics.csv", exc.records)
+        raise
     write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
     _write_snapshots(out, result)
     tau, n_steps = result.config.resolve_tau()

@@ -23,10 +23,6 @@ from .physics import MaterialModel
 from .scheme import STAR_OLD, State, StepperConfig, quadrature_fields
 
 
-class StructureViolationError(SolverError):
-    """A discrete conservation or dissipation law failed beyond tolerance."""
-
-
 #: tolerance below which a negative numerical dissipation is an error
 D_NUM_FLOOR = -1e-10
 
@@ -118,14 +114,15 @@ def record(new: State, fields: dict, old_fields: dict, model: MaterialModel,
            cfg: StepperConfig, step_index: int | None = 0,
            newton_iters: int = 0) -> DiagnosticsRecord:
     """Diagnostics row for the step to ``new``, read from the quadrature
-    fields (``scheme.quadrature_fields``) of ``new`` and of the old level."""
+    fields (``scheme.quadrature_fields``) of ``new`` and of the old level.
+    A numerical dissipation below D_NUM_FLOOR raises ``la.SolverError``."""
     w = new.phi.space.weights
     mass, kinetic, internal, entropy = _functionals(fields, w, model)
     tau_diss = cfg.tau * _dissipation(fields, old_fields, w, model,
                                       cfg.star_rule)
     d_num = (entropy - _entropy(old_fields, w, model)) - tau_diss
     if d_num < D_NUM_FLOOR:
-        raise StructureViolationError(
+        raise SolverError(
             f"numerical dissipation {d_num:.3e} fell below {D_NUM_FLOOR:.0e}",
             step_index)
     return DiagnosticsRecord(

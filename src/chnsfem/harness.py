@@ -130,7 +130,7 @@ class RunResult:
 def run(cfg: RunConfig) -> RunResult:
     """Run one simulation, keeping every time level and its diagnostics.
 
-    Solver errors propagate with the failing step index attached.
+    Solver errors propagate with the failing step and the earlier rows attached.
     """
     mesh = build_uniform(cfg.mesh_subdivisions)
     spaces = build_spaces(mesh)
@@ -143,13 +143,17 @@ def run(cfg: RunConfig) -> RunResult:
     records = [initial_record(state, fields, cfg.model)]
     stats: list[NewtonStats] = []
     _, n_steps = cfg.resolve_tau()
-    for k in range(1, n_steps + 1):
-        new, st = stepper.step(states[-1], step_index=k)
-        old_fields, fields = fields, stepper.fields_from_state(new)
-        records.append(record(new, fields, old_fields, cfg.model, scfg,
-                              step_index=k, newton_iters=st.iterations))
-        states.append(new)
-        stats.append(st)
+    try:
+        for k in range(1, n_steps + 1):
+            new, st = stepper.step(states[-1], step_index=k)
+            old_fields, fields = fields, stepper.fields_from_state(new)
+            records.append(record(new, fields, old_fields, cfg.model, scfg,
+                                  step_index=k, newton_iters=st.iterations))
+            states.append(new)
+            stats.append(st)
+    except SolverError as exc:
+        exc.records = records
+        raise
     return RunResult(config=cfg, mesh=mesh, states=states, records=records,
                      newton_stats=stats)
 

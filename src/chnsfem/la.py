@@ -25,9 +25,9 @@ signals "retry with a shorter step" by raising TrialRejected, is discarded
 with its factor.  Each iteration without a factor to chord on factors the
 exact Jacobian and halves the step until a step of size s lowers the norm
 to at most (1 - ARMIJO * s) times its old value without the retry signal
-(Armijo's rule), which handles positivity-constrained nonlinearities.  When MAX_HALVINGS halvings find no
-such step, the norm sits at its roundoff floor, and Newton stops instead
-of refactoring.
+(Armijo's rule), which handles positivity-constrained nonlinearities.
+When MAX_HALVINGS halvings find no such step, the norm sits at its
+roundoff floor, and Newton stops instead of refactoring.
 """
 
 from __future__ import annotations
@@ -56,27 +56,21 @@ ARMIJO = 1e-4
 
 
 class SolverError(RuntimeError):
-    """The solver cannot go on; ``step_index`` names the time step that
-    failed, where there is one, and ``level`` the level of a convergence
-    study that failed."""
+    """The solver cannot go on: a factor, a Newton solve or a discrete
+    identity failed.  ``step_index`` names the failing time step, where there
+    is one, ``level`` the failing level of a convergence study, and
+    ``records`` the diagnostics rows a run finished before it."""
 
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
         self.level = None
-
-
-class FactorizationError(SolverError):
-    """Factorization failed or produced an unusable solution."""
-
-
-class NonconvergenceError(SolverError):
-    """Newton exhausted its iteration budget or its line search."""
+        self.records = []
 
 
 class TrialRejected(SolverError):
-    """A residual evaluation rejects its trial point: Newton shortens the
-    step, and ends the solve when the start is rejected."""
+    """A residual evaluation rejects its trial point (an inverse temperature
+    at its floor): Newton shortens the step; a rejected start ends the solve."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ class NewtonSettings:
 class Factor:
     """Sparse LU factor of the row-equilibrated A with threshold pivoting;
     ``solve`` guarantees ||A x - b|| / max(1, ||b||) <= LU_RESIDUAL_BOUND or
-    raises FactorizationError (also for exactly singular matrices).  The
+    raises SolverError (also for exactly singular matrices).  The
     row maxima and the scaled entries are read off A's CSC arrays, and the
     scaled matrix keeps A's ``indices`` and ``indptr``.  A matrix not in
     canonical format (sorted, unique row indices) gets a canonical copy,
@@ -118,18 +112,21 @@ class Factor:
             self.lu = splu(scaled, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:  # SuperLU signals singularity this way
-            raise FactorizationError(f"sparse LU failed: {exc}") from exc
+            raise SolverError(f"sparse LU failed: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         x = self.lu.solve(self.row_scale * b)
         if not np.all(np.isfinite(x)):
-            raise FactorizationError("sparse LU produced non-finite values")
+            raise SolverError("sparse LU produced non-finite values")
+        if not np.all(np.isfinite(Ax := self.A @ x)):  # before inf - b warns or gives NaN
+            raise SolverError("solution rejected: the residual check overflows "
+                              f"(A x is not finite for |x| up to {np.abs(x).max():.3e})")
         # BLAS nrm2 scales its sum: only a norm past 1.8e308 overflows; NaN fails
-        resid = norm(self.A @ x - b, check_finite=False) / max(
+        resid = norm(Ax - b, check_finite=False) / max(
             1.0, norm(b, check_finite=False))
         if not resid <= LU_RESIDUAL_BOUND:
-            raise FactorizationError(
+            raise SolverError(
                 f"solution rejected: relative residual {resid:.3e} exceeds "
                 f"{LU_RESIDUAL_BOUND:.0e} (matrix numerically singular?)")
         return x
@@ -158,9 +155,9 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
     A residual evaluation raises TrialRejected to reject a trial point; the
     line search then shortens the step.  The start ``x0`` is no trial: an
     exception its residual raises ends the solve.  ``x0`` is never written
-    to.  Raises NonconvergenceError when the tolerance is not met within
+    to.  Raises SolverError when the tolerance is not met within
     ``settings.max_iter`` iterations or a Newton step's line search finds no
-    sufficient decrease, and propagates factorization failures.
+    sufficient decrease, and propagates the SolverError of a factor.
     """
     x = np.asarray(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
@@ -203,7 +200,7 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
                     break
                 scale *= 0.5
             else:
-                raise NonconvergenceError(
+                raise SolverError(
                     f"Newton stalled at residual norm {rnorm:.3e} above tolerance "
                     f"{settings.tol:.3e}: {MAX_HALVINGS} step halvings found no decrease")
         x, r, rnorm = accepted
@@ -212,6 +209,6 @@ def newton(residual, jacobian, x0: np.ndarray, settings: NewtonSettings,
         return NewtonResult(x=x, iterations=it, residual_norm=rnorm,
                             residual=r, factor=factor,
                             factorizations=factorizations)
-    raise NonconvergenceError(
+    raise SolverError(
         f"Newton did not reach tolerance {settings.tol:.3e} within "
         f"{settings.max_iter} iterations (residual norm {rnorm:.3e})")

@@ -56,10 +56,6 @@ _CHANNELS = [(key + suffix, trial, part)
              for part, suffix in enumerate(("", "x", "y"))] + [("pi", "pi", 0)]
 
 
-class PositivityError(TrialRejected):
-    """Inverse temperature dropped to or below the positivity floor."""
-
-
 @dataclass(frozen=True, eq=False)
 class SpaceSet:
     """P1 for phi, mu, theta and the pressure; vector P2 for the velocity."""
@@ -332,7 +328,7 @@ class Stepper:
     def _check_positivity(self, theta_at_qp: np.ndarray):
         tmin = float(theta_at_qp.min())
         if tmin <= self.cfg.theta_floor:
-            raise PositivityError(
+            raise TrialRejected(
                 f"inverse temperature reached {tmin:.3e} at a quadrature "
                 f"point (floor {self.cfg.theta_floor:.0e})")
 

@@ -14,7 +14,7 @@ from chnsfem.cli import (
     parse_config,
     write_vtk_snapshot,
 )
-from chnsfem.la import NonconvergenceError, newton
+from chnsfem.la import SolverError, newton
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -298,7 +298,7 @@ def test_converge_failure_names_its_level(tmp_path, capsys, monkeypatch):
     def failing_newton(residual, jacobian, x0, *args, **kwargs):
         solves.append(len(x0))
         if solves.count(level1_size) == 2:
-            raise NonconvergenceError("forced")
+            raise SolverError("forced")
         return newton(residual, jacobian, x0, *args, **kwargs)
 
     monkeypatch.setattr("chnsfem.scheme.newton", failing_newton)
@@ -310,6 +310,45 @@ def test_converge_failure_names_its_level(tmp_path, capsys, monkeypatch):
     assert solves.count(level1_size) == 2
     assert "error: solver failed at level 1, step 2: forced\n" \
         in capsys.readouterr().err
+
+
+def test_failed_run_keeps_the_rows_of_its_finished_steps(tmp_path, capsys,
+                                                         monkeypatch):
+    # the third solve fails: diagnostics.csv keeps the header and rows 0-2
+    text = BASE_CONFIG.format(outdir=tmp_path / "full").replace(
+        "base = 8", "base = 4").replace("tau = 1e-4\nT = 1e-3",
+                                        "tau = 2.5e-4\nT = 1e-3")
+    path = write_config(tmp_path, text)
+    assert main(["run", "--config", str(path)]) == 0
+    full = (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()
+    assert len(full) == 6
+    solves = []
+
+    def failing_newton(*args, **kwargs):
+        solves.append(1)
+        if len(solves) == 3:
+            raise SolverError("forced")
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr("chnsfem.scheme.newton", failing_newton)
+    outdir = tmp_path / "failed"
+    assert main(["run", "--config", str(path), "--output", str(outdir)]) == 1
+    assert "error: solver failed at step 3: forced\n" in capsys.readouterr().err
+    kept = (outdir / "diagnostics.csv").read_text(encoding="utf-8")
+    assert kept == "\n".join(full[:4]) + "\n"
+
+
+def test_overflowing_model_names_the_overflow(tmp_path, capsys):
+    # gamma = 1e300 passes validate, and the Jacobian entries (up to 4e300)
+    # overflow the LU residual check of a finite solution
+    text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+        "base = 8", "base = 4").replace("tau = 1e-4\nT = 1e-3", "T = 5e-4") \
+        + "\n[model]\ngamma = 1e300\n"
+    path = write_config(tmp_path, text)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: solver failed at step 1: " in err
+    assert "the residual check overflows" in err and "singular" not in err
 
 
 @pytest.mark.parametrize("command, section, expected", [

@@ -13,6 +13,7 @@ from chnsfem.harness import (
     ErrorTable,
     RunConfig,
     RunResult,
+    benchmark_initial_data,
     convergence_study,
     eoc,
     inter_level_error,
@@ -36,6 +37,54 @@ def test_run_produces_all_levels(short_run):
     mass = np.array([r.mass for r in result.records])
     assert np.abs(mass - mass[0]).max() <= 1e-10
     assert all(r.d_num >= -1e-10 for r in result.records[1:])
+
+
+def _wave(x, y):
+    return np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+
+
+def _drop_data():
+    """A saturated drop about the centre in a slow shear flow."""
+
+    def phi0(x, y):
+        r = np.hypot(x - 0.5, y - 0.5)
+        return 0.5 - 0.45 * np.tanh((r - 0.25) / 0.05)
+
+    def theta0(x, y):
+        return 1.0 + 0.2 * _wave(x, y)
+
+    def u0(x, y):
+        return 0.1 * np.sin(2 * np.pi * y), np.zeros_like(x)
+
+    return phi0, theta0, u0
+
+
+def _contrast_data():
+    """Phase from 0.05 to 0.95, inverse temperature from 0.6 to 1.4 and
+    the benchmark velocity times 100."""
+
+    def u0(x, y):
+        u1, u2 = benchmark_initial_data()[2](x, y)
+        return 100.0 * u1, 100.0 * u2
+
+    return (lambda x, y: 0.5 + 0.45 * _wave(x, y),
+            lambda x, y: 1.0 + 0.4 * _wave(x, y), u0)
+
+
+@pytest.mark.parametrize("data", [_drop_data, _contrast_data],
+                         ids=["drop", "contrast"])
+def test_harder_data_keeps_the_discrete_identities(data):
+    # off the benchmark's benign fields, Newton takes about two iterations
+    # a step; criterion 1's identities must still close at its tolerances
+    result = run(RunConfig(base=16, level=0, initial_data=data()))
+    records = result.records
+    assert len(records) == 33
+    mass = np.array([r.mass for r in records])
+    total = np.array([r.total_energy for r in records])
+    assert abs(mass[-1] - mass[0]) <= 1e-10
+    assert abs(total[-1] - total[0]) <= 1e-9
+    assert min(r.d_num for r in records[1:]) >= -1e-10
+    assert np.diff([r.entropy for r in records]).min() >= -1e-10
 
 
 def test_uniform_data_gives_constant_trajectory():

@@ -11,9 +11,8 @@ from chnsfem.harness import benchmark_initial_data
 from chnsfem.la import (
     LU_RESIDUAL_BOUND,
     Factor,
-    FactorizationError,
     NewtonSettings,
-    NonconvergenceError,
+    SolverError,
     TrialRejected,
     lu_solve,
     newton,
@@ -37,7 +36,7 @@ def test_hand_inverted_2x2():
 
 def test_singular_matrix_raises():
     A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(FactorizationError):
+    with pytest.raises(SolverError, match="sparse LU failed: "):
         lu_solve(A, np.array([1.0, 2.0]))
 
 
@@ -48,7 +47,7 @@ def test_all_zero_row_raises(stored_zero):
     if stored_zero:
         rows, cols, vals = rows + [1], cols + [1], vals + [0.0]
     A = sp.csc_matrix((vals, (rows, cols)), shape=(3, 3))
-    with pytest.raises(FactorizationError):
+    with pytest.raises(SolverError, match="sparse LU failed: "):
         lu_solve(A, np.ones(3))
 
 
@@ -131,8 +130,18 @@ def test_solve_rejects_a_wrong_solution_whose_norms_overflow():
     # inf / inf is NaN, which no "greater than" test rejects
     factor = Factor(sp.identity(4, format="csc"))
     factor.lu = SimpleNamespace(solve=lambda rhs: 1e10 * rhs)
-    with pytest.raises(FactorizationError, match="relative residual 1.000e"):
+    with pytest.raises(SolverError, match="relative residual 1.000e"):
         factor.solve(np.full(4, 1e200))
+
+
+def test_solve_names_a_residual_check_that_overflows():
+    # the row-scaled solve is finite (x = (1e10, 1e10)), but the check's
+    # 1e300 * 1e10 - 1e300 * 1e10 overflows to inf - inf: no sign that the
+    # matrix is singular
+    A = sp.csc_matrix(np.array([[1e300, -1e300], [0.0, 1.0]]))
+    with pytest.raises(SolverError, match="the residual check overflows") as info:
+        Factor(A).solve(np.array([1.0, 1e10]))
+    assert "singular" not in str(info.value)
 
 
 def test_solve_accepts_a_correct_solution_whose_norms_overflow():
@@ -173,7 +182,7 @@ def test_newton_degenerate_root_nonconvergence():
     def J(x):
         return sp.csc_matrix([[2.0 * x[0]]])
 
-    with pytest.raises(NonconvergenceError) as info:
+    with pytest.raises(SolverError, match="Newton did not reach tolerance") as info:
         newton(r, J, np.array([1.0]), NewtonSettings(tol=1e-12, max_iter=5))
     assert "(residual norm 9.766e-04)" in str(info.value)
 
@@ -204,7 +213,7 @@ def test_newton_stops_at_the_residual_floor():
         factorizations.append(x.copy())
         return sp.csc_matrix([[1.0]])
 
-    with pytest.raises(NonconvergenceError) as info:
+    with pytest.raises(SolverError, match="Newton stalled at residual norm") as info:
         newton(r, J, np.array([2.0]), NewtonSettings(tol=1e-12, max_iter=30))
     assert len(factorizations) <= 2
     assert "stalled at residual norm 1.000e-11" in str(info.value)

@@ -16,8 +16,8 @@ from chnsfem.la import (
     LU_RESIDUAL_BOUND,
     Factor,
     NewtonSettings,
-    NonconvergenceError,
     SolverError,
+    TrialRejected,
 )
 from chnsfem.mesh import build_uniform, quad_rule
 from chnsfem.physics import SplitValidityWarning, default_model
@@ -25,7 +25,6 @@ from chnsfem.scheme import (
     _CHANNELS,
     MAX_SUBDIVISIONS,
     STEP,
-    PositivityError,
     Stepper,
     StepperConfig,
     _kernels,
@@ -151,7 +150,7 @@ def test_positivity_violation_detected(setup4, model):
     bad = dataclasses.replace(state)
     bad.theta = FeFunction(spaces.scalar, state.theta.coefficients.copy())
     bad.theta.coefficients[3] = -0.5
-    with pytest.raises(PositivityError):
+    with pytest.raises(TrialRejected, match="inverse temperature reached "):
         stepper.residual_vector(stepper.fields_from_state(state),
                                 stepper.pack(bad))
 
@@ -662,7 +661,7 @@ def test_step_warns_below_split_validity(model):
 def test_nonconvergence_is_wrapped_with_step_context(setup8, model):
     mesh, spaces, state = setup8
     cfg = StepperConfig(tau=1e-3, newton=NewtonSettings(tol=1e-12, max_iter=1))
-    with pytest.raises(NonconvergenceError) as info:
+    with pytest.raises(SolverError, match="Newton did not reach tolerance") as info:
         Stepper(spaces, model, cfg).step(state, step_index=7)
     assert info.value.step_index == 7
 
